@@ -1,19 +1,13 @@
-"""Compare the numba and pure-numpy kernel backends.
-
-Run twice, once per backend:
+"""Time the hot kernels of the active backend.
 
     python3 benchmarks/bench_kernels.py
     HIERCAST_NO_NUMBA=1 python3 benchmarks/bench_kernels.py
 
-or let the script fork itself for both (default):
-
-    python3 benchmarks/bench_kernels.py --both
+The convolution rows use the active backend (numba when it imports and
+``HIERCAST_NO_NUMBA`` is unset, numpy otherwise).  The smoothing rows are
+numpy only and time one full parameter grid, the work of one ``Ets.fit``.
 """
 
-import argparse
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -30,8 +24,9 @@ def _bench(fn, *args, repeat=5, warmup=1):
     return best
 
 
-def run_single():
+def main():
     from hiercast import kernels
+    from hiercast.forecasters import _ETS_GRID, _HOLT_GRID, _HW_GRID
 
     rng = np.random.default_rng(0)
     results = []
@@ -47,31 +42,22 @@ def run_single():
                     _bench(kernels.conv1d_same_grad, x, k, gout)))
 
     y = rng.standard_normal(1460).cumsum() + 100.0
-    results.append(("ses_fit (T=1460)", _bench(kernels.ses_fit, y, 0.3)))
-    results.append(("holt_fit (T=1460)", _bench(kernels.holt_fit, y, 0.3, 0.1)))
-    results.append(("hw_add_fit (T=1460, m=7)",
-                    _bench(kernels.hw_add_fit, y, 7, 0.3, 0.1, 0.1)))
+    results.append(("ses_fit (T=1460, 10 combos)",
+                    _bench(kernels.ses_fit, y, _ETS_GRID)))
+    results.append(("holt_fit (T=1460, 100 combos)",
+                    _bench(kernels.holt_fit, y, *_HOLT_GRID)))
+    results.append(("hw_add_fit (T=1460, m=7, 1000 combos)",
+                    _bench(kernels.hw_add_fit, y, 7, *_HW_GRID)))
 
-    print(f"backend: {kernels.BACKEND}")
+    try:
+        import numba  # noqa: F401
+        numba_imports = "yes"
+    except ImportError:
+        numba_imports = "no"
+    print(f"numba imports: {numba_imports}; conv backend: {kernels.BACKEND}")
     for name, secs in results:
-        print(f"  {name:34s} {secs * 1e6:10.1f} us")
-
-
-def run_both():
-    here = os.path.abspath(__file__)
-    for env_flag in ("0", "1"):
-        env = dict(os.environ, HIERCAST_NO_NUMBA=env_flag)
-        subprocess.run([sys.executable, here, "--single"], env=env, check=True)
+        print(f"  {name:38s} {secs * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--single", action="store_true",
-                        help="benchmark only the backend selected by "
-                             "HIERCAST_NO_NUMBA")
-    parser.add_argument("--both", action="store_true")
-    args = parser.parse_args()
-    if args.single:
-        run_single()
-    else:
-        run_both()
+    main()

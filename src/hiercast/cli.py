@@ -249,6 +249,7 @@ def cmd_forecast(args):
         timestamps=_future_timestamps(panel, n_train, h),
         values=values, kind="base",
     )
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     fs.write_csv(out)
     meta_path = os.path.splitext(out)[0] + "_models.json"
     with open(meta_path, "w") as fh:
@@ -274,8 +275,11 @@ def _load_error_matrix(path, hier):
         if reader.fieldnames is None or "node_id" not in reader.fieldnames:
             raise DataError(f"{path}: expected columns timestamp,node_id,error")
         value_col = "error" if "error" in reader.fieldnames else "value"
-        for row in reader:
-            rows.setdefault(row["timestamp"], {})[row["node_id"]] = float(row[value_col])
+        try:
+            for row in reader:
+                rows.setdefault(row["timestamp"], {})[row["node_id"]] = float(row[value_col])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     stamps = sorted(rows)
     E = np.empty((len(stamps), hier.M))
     for t, ts in enumerate(stamps):

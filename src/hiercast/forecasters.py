@@ -19,6 +19,19 @@ ORDER = {"naive": 0, "snaive": 1, "arx": 2, "ets": 3, "narx": 4,
          "comb_mean": 5, "comb_cls": 6}
 
 _ETS_GRID = np.round(np.arange(0.1, 1.0001, 0.1), 10)
+# every (alpha, beta[, gamma]) combination, alpha-major like nested loops
+_HOLT_GRID = tuple(g.ravel() for g in np.meshgrid(_ETS_GRID, _ETS_GRID,
+                                                   indexing="ij"))
+_HW_GRID = tuple(g.ravel() for g in np.meshgrid(_ETS_GRID, _ETS_GRID, _ETS_GRID,
+                                                 indexing="ij"))
+
+
+def _first_min(sse):
+    """The index a strict-``<`` scan in grid order keeps: the first minimum
+    with NaNs skipped, or 0 when the first SSE is NaN."""
+    if np.isnan(sse[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(sse), np.inf, sse)))
 
 
 def _check_series(y):
@@ -219,24 +232,18 @@ class Ets:
         if v == "ses":
             if len(y) < 2:
                 raise DataError("SES needs at least 2 observations")
-            best = None
-            for a in _ETS_GRID:
-                level, sse = kernels.ses_fit(y, a)
-                if best is None or sse < best[0]:
-                    best = (sse, a, level)
-            _, self.alpha_, self.level_ = best
+            level, sse = kernels.ses_fit(y, _ETS_GRID)
+            k = _first_min(sse)
+            self.alpha_, self.level_ = _ETS_GRID[k], level[k]
             self.trend_ = 0.0
             self.season_ = None
         elif v == "holt":
             if len(y) < 3:
                 raise DataError("Holt needs at least 3 observations")
-            best = None
-            for a in _ETS_GRID:
-                for b in _ETS_GRID:
-                    level, trend, sse = kernels.holt_fit(y, a, b)
-                    if best is None or sse < best[0]:
-                        best = (sse, a, b, level, trend)
-            _, self.alpha_, self.beta_, self.level_, self.trend_ = best
+            level, trend, sse = kernels.holt_fit(y, *_HOLT_GRID)
+            k = _first_min(sse)
+            self.alpha_, self.beta_ = (g[k] for g in _HOLT_GRID)
+            self.level_, self.trend_ = level[k], trend[k]
             self.season_ = None
         else:
             m = self.m_season
@@ -244,15 +251,11 @@ class Ets:
                 raise DataError(
                     f"Holt-Winters needs at least {2 * m} observations, got {len(y)}"
                 )
-            best = None
-            for a in _ETS_GRID:
-                for b in _ETS_GRID:
-                    for g in _ETS_GRID:
-                        level, trend, season, sse = kernels.hw_add_fit(y, m, a, b, g)
-                        if best is None or sse < best[0]:
-                            best = (sse, a, b, g, level, trend, season)
-            (_, self.alpha_, self.beta_, self.gamma_,
-             self.level_, self.trend_, self.season_) = best
+            level, trend, season, sse = kernels.hw_add_fit(y, m, *_HW_GRID)
+            k = _first_min(sse)
+            self.alpha_, self.beta_, self.gamma_ = (g[k] for g in _HW_GRID)
+            self.level_, self.trend_ = level[k], trend[k]
+            self.season_ = season[:, k].copy()
             self.t_end_ = len(y)
         return self
 

@@ -63,13 +63,16 @@ def read_forecast_set(path, kind="coherent") -> ForecastSet:
             raise DataError(
                 f"{path}: expected header timestamp,node_id,forecast,method"
             )
-        for row in reader:
-            ts = _parse_ts(row["timestamp"])
-            stamps[str(ts)] = ts
-            if row["node_id"] not in nodes:
-                nodes.append(row["node_id"])
-            cells[(str(ts), row["node_id"])] = float(row["forecast"])
-            methods.add(row["method"])
+        try:
+            for row in reader:
+                ts = _parse_ts(row["timestamp"])
+                stamps[str(ts)] = ts
+                if row["node_id"] not in nodes:
+                    nodes.append(row["node_id"])
+                cells[(str(ts), row["node_id"])] = float(row["forecast"])
+                methods.add(row["method"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not cells:
         raise DataError(f"{path}: empty forecast file")
     if len(methods) != 1:

@@ -341,7 +341,11 @@ def load_hierarchy(path) -> Hierarchy:
         required = {"node_id", "parent_id", "level"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{path}: expected header node_id,parent_id,level")
-        nodes = [(row["node_id"], row["parent_id"], row["level"]) for row in reader]
+        try:
+            nodes = [(row["node_id"], row["parent_id"], int(row["level"]))
+                     for row in reader]
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not nodes:
         raise DataError(f"{path}: empty hierarchy file")
     return Hierarchy.from_nodes(nodes)
@@ -357,10 +361,13 @@ def load_panel(hierarchy, obs_path, exog_path=None, calendar=_CAL_DEFAULT,
         required = {"timestamp", "node_id", "value"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise DataError(f"{obs_path}: expected header timestamp,node_id,value")
-        for row in reader:
-            ts = _parse_ts(row["timestamp"])
-            stamps[str(ts)] = ts
-            cells[(str(ts), row["node_id"])] = float(row["value"])
+        try:
+            for row in reader:
+                ts = _parse_ts(row["timestamp"])
+                stamps[str(ts)] = ts
+                cells[(str(ts), row["node_id"])] = float(row["value"])
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{obs_path}: line {reader.line_num}: {exc}") from None
     timestamps = np.array(sorted(stamps.values()), dtype="datetime64[s]")
     T = len(timestamps)
     values = np.empty((T, hierarchy.M))
@@ -384,11 +391,14 @@ def load_panel(hierarchy, obs_path, exog_path=None, calendar=_CAL_DEFAULT,
                 raise DataError(
                     f"{exog_path}: expected header timestamp,node_id,variable,value"
                 )
-            for row in reader:
-                ts = str(_parse_ts(row["timestamp"]))
-                raw.setdefault(row["node_id"], {})[(ts, row["variable"])] = float(
-                    row["value"]
-                )
+            try:
+                for row in reader:
+                    ts = str(_parse_ts(row["timestamp"]))
+                    raw.setdefault(row["node_id"], {})[(ts, row["variable"])] = float(
+                        row["value"]
+                    )
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{exog_path}: line {reader.line_num}: {exc}") from None
         for node_id, cells_n in raw.items():
             names = sorted({var for _, var in cells_n})
             mat = np.empty((T, len(names)))

@@ -1,11 +1,11 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels.
 
-The numba backend compiles the inner loops with ``@njit``; the pure-numpy
-backend expresses the same arithmetic with vectorized shifts.  Set the
-environment variable ``HIERCAST_NO_NUMBA=1`` before import to force the
-numpy path (also used automatically when numba is unavailable).
+The 1-D convolution has a numba backend (``@njit`` loops) and a numpy
+backend (vectorized shifts); ``HIERCAST_NO_NUMBA=1`` set before import, or a
+missing numba, selects numpy.  The exponential-smoothing kernels are numpy
+only and fit a whole parameter grid in one pass over time.
 
-``benchmarks/bench_kernels.py`` compares the two backends.
+``benchmarks/bench_kernels.py`` times the kernels.
 """
 
 import os
@@ -106,56 +106,63 @@ def _conv1d_same_grad_loops(x, k, gout):
 
 
 # ---------------------------------------------------------------------------
-# Exponential-smoothing recursions.  Each returns the final state plus the
-# in-sample one-step SSE, so a grid sweep is one call per parameter combo.
+# Exponential-smoothing recursions over a parameter grid: the parameters are
+# vectors (scalars broadcast) and each returns one final state and one
+# in-sample one-step SSE per combination.  Every step repeats the float
+# operations of the one-combination loop in order, so results are bit-equal.
 # ---------------------------------------------------------------------------
 
-def _ses_fit_py(y, alpha):
-    level = y[0]
-    sse = 0.0
-    for t in range(1, y.shape[0]):
-        e = y[t] - level
+def ses_fit(y, alpha):
+    """Simple exponential smoothing -> (level, sse), each of shape (K,)."""
+    alpha = np.atleast_1d(alpha)
+    level = np.full(alpha.shape, y[0])
+    sse = np.zeros(alpha.shape)
+    for yt in y[1:].tolist():
+        e = yt - level
         sse += e * e
         level += alpha * e
     return level, sse
 
 
-def _holt_fit_py(y, alpha, beta):
-    level = y[0]
-    trend = y[1] - y[0]
-    sse = 0.0
-    for t in range(1, y.shape[0]):
+def holt_fit(y, alpha, beta):
+    """Holt's linear trend -> (level, trend, sse), each of shape (K,)."""
+    alpha, beta = np.broadcast_arrays(*np.atleast_1d(alpha, beta))
+    alpha_c, beta_c = 1.0 - alpha, 1.0 - beta
+    level = np.full(alpha.shape, y[0])
+    trend = np.full(alpha.shape, y[1] - y[0])
+    sse = np.zeros(alpha.shape)
+    for yt in y[1:].tolist():
         f = level + trend
-        e = y[t] - f
+        e = yt - f
         sse += e * e
-        new_level = alpha * y[t] + (1.0 - alpha) * (level + trend)
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
+        new_level = alpha * yt + alpha_c * f
+        trend = beta * (new_level - level) + beta_c * trend
         level = new_level
     return level, trend, sse
 
 
-def _hw_add_fit_py(y, m, alpha, beta, gamma):
-    T = y.shape[0]
-    level = 0.0
-    nxt = 0.0
+def hw_add_fit(y, m, alpha, beta, gamma):
+    """Additive Holt-Winters -> (level, trend, season (m, K), sse)."""
+    alpha, beta, gamma = np.broadcast_arrays(*np.atleast_1d(alpha, beta, gamma))
+    alpha_c, beta_c, gamma_c = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
+    # sequential sums: np.sum's pairwise summation rounds differently
+    level0 = nxt = 0.0
     for i in range(m):
-        level += y[i]
+        level0 += y[i]
         nxt += y[m + i]
-    level /= m
-    nxt /= m
-    trend = (nxt - level) / m
-    season = np.empty(m)
-    for i in range(m):
-        season[i] = y[i] - level
-    sse = 0.0
-    for t in range(m, T):
+    level0 /= m
+    level = np.full(alpha.shape, level0)
+    trend = np.full(alpha.shape, (nxt / m - level0) / m)
+    season = np.repeat((y[:m] - level0)[:, None], alpha.size, axis=1)
+    sse = np.zeros(alpha.shape)
+    for t, yt in enumerate(y[m:].tolist(), start=m):
         s_old = season[t % m]
-        f = level + trend + s_old
-        e = y[t] - f
+        lt = level + trend
+        e = yt - (lt + s_old)
         sse += e * e
-        new_level = alpha * (y[t] - s_old) + (1.0 - alpha) * (level + trend)
-        trend = beta * (new_level - level) + (1.0 - beta) * trend
-        season[t % m] = gamma * (y[t] - new_level) + (1.0 - gamma) * s_old
+        new_level = alpha * (yt - s_old) + alpha_c * lt
+        trend = beta * (new_level - level) + beta_c * trend
+        season[t % m] = gamma * (yt - new_level) + gamma_c * s_old
         level = new_level
     return level, trend, season, sse
 
@@ -163,34 +170,6 @@ def _hw_add_fit_py(y, m, alpha, beta, gamma):
 if _NO_NUMBA:
     conv1d_same = _conv1d_same_np
     conv1d_same_grad = _conv1d_same_grad_np
-    ses_fit = _ses_fit_py
-    holt_fit = _holt_fit_py
-    hw_add_fit = _hw_add_fit_py
 else:
     conv1d_same = njit(cache=True)(_conv1d_same_loops)
-
-    # einsum is unsupported in nopython mode; the loop body is restated here.
-    @njit(cache=True)
-    def conv1d_same_grad(x, k, gout):
-        B, w, c_in = x.shape
-        ks, _, c_out = k.shape
-        pad = (ks - 1) // 2
-        gx = np.zeros_like(x)
-        gk = np.zeros_like(k)
-        gb = np.zeros(c_out)
-        for b in range(B):
-            for t in range(w):
-                for o in range(c_out):
-                    g = gout[b, t, o]
-                    gb[o] += g
-                    for u in range(ks):
-                        src = t + u - pad
-                        if 0 <= src < w:
-                            for i in range(c_in):
-                                gk[u, i, o] += x[b, src, i] * g
-                                gx[b, src, i] += k[u, i, o] * g
-        return gx, gk, gb
-
-    ses_fit = njit(cache=True)(_ses_fit_py)
-    holt_fit = njit(cache=True)(_holt_fit_py)
-    hw_add_fit = njit(cache=True)(_hw_add_fit_py)
+    conv1d_same_grad = njit(cache=True)(_conv1d_same_grad_loops)

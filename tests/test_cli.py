@@ -5,7 +5,7 @@ import pytest
 
 from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
 from hiercast.cli import main
-from hiercast.forecastset import read_forecast_set
+from hiercast.forecastset import ForecastSet, read_forecast_set
 
 
 @pytest.fixture
@@ -75,6 +75,12 @@ class TestForecast:
         assert run_forecast(dataset, b, split="2015-04-14") == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_into_missing_directory(self, dataset, tmp_path):
+        out = tmp_path / "missing" / "base.csv"
+        assert run_forecast(dataset, out) == 0
+        assert read_forecast_set(out, kind="base").values.shape == (7, 7)
+        assert (tmp_path / "missing" / "base_models.json").exists()
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
             "forecast", "--hierarchy", str(tmp_path / "nope.csv"),
@@ -134,6 +140,84 @@ class TestReconcile:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "magic" in err["message"]
+
+
+def _with_cell(src, dst, column, token="abc"):
+    """Copy a CSV with one cell of its first data row (line 2) replaced."""
+    lines = src.read_text().splitlines(keepends=True)
+    cells = lines[1].rstrip("\n").split(",")
+    cells[column] = token
+    lines[1] = ",".join(cells) + "\n"
+    dst.write_text("".join(lines))
+    return dst
+
+
+class TestNonNumericCells:
+    """A cell that does not parse is a DataError naming file and line."""
+
+    def _assert_data_error(self, code, capsys, path):
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert f"{path}: line 2: " in err["message"]
+
+    def _evaluate(self, dataset, tmp_path, hierarchy=None, observations=None,
+                  forecasts=None):
+        return main([
+            "evaluate", "--hierarchy", str(hierarchy or dataset / "hierarchy.csv"),
+            "--observations", str(observations or dataset / "observations.csv"),
+            "--split", "100", "--horizon", "7",
+            "--forecasts", str(forecasts or tmp_path / "none.csv"),
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+
+    def test_observation_value(self, dataset, tmp_path, capsys):
+        bad = _with_cell(dataset / "observations.csv", tmp_path / "obs.csv", 2)
+        self._assert_data_error(
+            self._evaluate(dataset, tmp_path, observations=bad), capsys, bad)
+
+    def test_hierarchy_level(self, dataset, tmp_path, capsys):
+        bad = _with_cell(dataset / "hierarchy.csv", tmp_path / "h.csv", 2, "x")
+        self._assert_data_error(
+            self._evaluate(dataset, tmp_path, hierarchy=bad), capsys, bad)
+
+    def test_exog_value(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "exog.csv"
+        bad.write_text("timestamp,node_id,variable,value\n"
+                       "2015-01-05,total,promo,abc\n")
+        code = main([
+            "forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--exog", str(bad), "--split", "100", "--horizon", "7",
+            "--out", str(tmp_path / "base.csv"),
+        ])
+        self._assert_data_error(code, capsys, bad)
+
+    def test_forecast_value(self, dataset, tmp_path, capsys):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        good = tmp_path / "good.csv"
+        ForecastSet(method="bu", node_ids=hier.node_ids,
+                    timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
+                    values=np.zeros((1, hier.M))).write_csv(good)
+        bad = _with_cell(good, tmp_path / "bu.csv", 2)
+        self._assert_data_error(
+            self._evaluate(dataset, tmp_path, forecasts=bad), capsys, bad)
+
+    def test_error_matrix_value(self, dataset, tmp_path, capsys):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        base = tmp_path / "base.csv"
+        ForecastSet(method="fstar", node_ids=hier.node_ids,
+                    timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
+                    values=np.zeros((1, hier.M)), kind="base").write_csv(base)
+        bad = tmp_path / "errors.csv"
+        bad.write_text("timestamp,node_id,error\n2015-01-05,total,abc\n")
+        code = main([
+            "reconcile", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--base", str(base), "--methods", "mint", "--errors", str(bad),
+            "--split", "100", "--out-dir", str(tmp_path / "rec"),
+        ])
+        self._assert_data_error(code, capsys, bad)
 
 
 class TestEvaluate:

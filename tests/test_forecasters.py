@@ -62,8 +62,8 @@ class TestArx:
 class TestEts:
     def test_ses_alpha_one_tracks_last_observation(self, rng):
         y = rng.standard_normal(50)
-        level, _ = kernels.ses_fit(y, 1.0)
-        assert level == pytest.approx(y[-1])
+        level, _ = kernels.ses_fit(y, [1.0])
+        assert level[0] == pytest.approx(y[-1])
 
     def test_constant_series_all_variants(self):
         y = np.full(20, 3.0)
