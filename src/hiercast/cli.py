@@ -22,7 +22,8 @@ from .forecasters import default_candidates, select_model
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, coherence_violation,
                         format_timestamp, load_hierarchy, load_panel,
-                        timestamps_are_dates, _parse_ts)
+                        pivot_long, read_long_csv, timestamps_are_dates,
+                        _parse_ts)
 from .nnd import (ArchConfig, NndConfig, WindowConfig, nnd_iterative_topdown,
                   nnd_middle_out, nnd_standard_topdown)
 from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
@@ -268,26 +269,9 @@ def _base_matrix(fs, hier):
 
 
 def _load_error_matrix(path, hier):
-    rows = {}
-    import csv as _csv
-    with open(path, newline="") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or "node_id" not in reader.fieldnames:
-            raise DataError(f"{path}: expected columns timestamp,node_id,error")
-        value_col = "error" if "error" in reader.fieldnames else "value"
-        try:
-            for row in reader:
-                rows.setdefault(row["timestamp"], {})[row["node_id"]] = float(row[value_col])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    stamps = sorted(rows)
-    E = np.empty((len(stamps), hier.M))
-    for t, ts in enumerate(stamps):
-        for j, node_id in enumerate(hier.node_ids):
-            if node_id not in rows[ts]:
-                raise DataError(f"{path}: missing error for {node_id!r} at {ts}")
-            E[t, j] = rows[ts][node_id]
-    return E
+    table = read_long_csv(path, ("node_id",), "error")
+    return pivot_long(path, table, np.unique(table.instants),
+                      [(n,) for n in hier.node_ids], "error")
 
 
 def _historical_subtree_proportions(panel, node_id):

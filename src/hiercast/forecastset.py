@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .hierarchy import format_timestamp, timestamps_are_dates, _parse_ts
+from .hierarchy import (format_timestamp, pivot_long, read_long_csv,
+                        timestamps_are_dates)
 
 
 @dataclass
@@ -52,40 +53,18 @@ class ForecastSet:
 
 
 def read_forecast_set(path, kind="coherent") -> ForecastSet:
-    cells = {}
-    methods = set()
-    stamps = {}
-    nodes = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"timestamp", "node_id", "forecast", "method"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(
-                f"{path}: expected header timestamp,node_id,forecast,method"
-            )
-        try:
-            for row in reader:
-                ts = _parse_ts(row["timestamp"])
-                stamps[str(ts)] = ts
-                if row["node_id"] not in nodes:
-                    nodes.append(row["node_id"])
-                cells[(str(ts), row["node_id"])] = float(row["forecast"])
-                methods.add(row["method"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not cells:
+    """Read one method's forecasts; columns follow first appearance."""
+    table = read_long_csv(path, ("node_id", "method"), "forecast")
+    if not table.row_value:
         raise DataError(f"{path}: empty forecast file")
+    methods = sorted({method for _, method in table.keys})
     if len(methods) != 1:
-        raise DataError(f"{path}: mixed methods in one forecast file: {sorted(methods)}")
-    timestamps = np.array(sorted(stamps.values()), dtype="datetime64[s]")
-    values = np.empty((len(timestamps), len(nodes)))
-    for t, ts in enumerate(timestamps):
-        for j, node_id in enumerate(nodes):
-            key = (str(ts), node_id)
-            if key not in cells:
-                raise DataError(f"{path}: missing forecast for {node_id!r} at {ts}")
-            values[t, j] = cells[key]
+        raise DataError(f"{path}: mixed methods in one forecast file: {methods}")
+    nodes = tuple(dict.fromkeys(node_id for node_id, _ in table.keys))
+    timestamps = np.unique(table.instants)
+    values = pivot_long(path, table, timestamps,
+                        [(n, methods[0]) for n in nodes], "forecast")
     return ForecastSet(
-        method=methods.pop(), node_ids=tuple(nodes),
+        method=methods[0], node_ids=nodes,
         timestamps=timestamps, values=values, kind=kind,
     )

@@ -5,7 +5,10 @@ by level, then lexicographic node id.
 """
 
 import csv
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -319,9 +322,12 @@ class SeriesPanel:
 
 def _parse_ts(token):
     try:
-        return np.datetime64(token).astype("datetime64[s]")
+        ts = np.datetime64(token).astype("datetime64[s]")
+        if not np.isnat(ts):
+            return ts
     except ValueError:
-        raise DataError(f"unparseable timestamp {token!r}") from None
+        pass
+    raise DataError(f"unparseable timestamp {token!r}")
 
 
 def format_timestamp(ts, date_only):
@@ -351,68 +357,111 @@ def load_hierarchy(path) -> Hierarchy:
     return Hierarchy.from_nodes(nodes)
 
 
+class LongTable(NamedTuple):
+    """The rows of a long-format CSV, as read by :func:`read_long_csv`.
+
+    Data row i, in file order, holds the timestamp ``instants[row_stamp[i]]``,
+    the key ``keys[row_key[i]]`` and the value ``row_value[i]``.  Typed
+    arrays, not per-row objects, keep a large file's footprint small.
+    """
+
+    instants: np.ndarray   # distinct timestamps, datetime64[s], first appearance
+    keys: list             # distinct key tuples, first appearance
+    row_stamp: array
+    row_key: array
+    row_value: array
+
+
+def read_long_csv(path, columns, value="value") -> LongTable:
+    """Read a long-format CSV with a ``timestamp`` column, the key
+    ``columns`` and a numeric ``value`` column (any order; other columns
+    are ignored).  Each distinct timestamp is parsed once.  A short row or
+    a cell that does not parse is a DataError naming the file and line.
+    """
+    expected = ",".join(("timestamp", *columns, value))
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if value == "error" and value not in header:
+            value = "value"    # an errors file may name its column "value"
+        if not {"timestamp", *columns, value} <= set(header):
+            raise DataError(f"{path}: expected header {expected}")
+        # (timestamp, *key cells, value) of a row
+        fields = itemgetter(*(header.index(c) for c in ("timestamp", *columns, value)))
+        stamp_ids, stamp_lines, key_ids = {}, [], {}
+        row_stamp, row_key, row_value = array("l"), array("l"), array("d")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                cells = fields(row)
+                number = float(cells[-1])
+            except IndexError:
+                raise DataError(f"{path}: line {reader.line_num}: expected "
+                                f"{len(header)} fields, got {len(row)}") from None
+            except ValueError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            t = stamp_ids.setdefault(cells[0], len(stamp_ids))
+            if t == len(stamp_lines):
+                stamp_lines.append(reader.line_num)
+            row_stamp.append(t)
+            row_key.append(key_ids.setdefault(cells[1:-1], len(key_ids)))
+            row_value.append(number)
+    instants = np.empty(len(stamp_ids), dtype="datetime64[s]")
+    for stamp, t in stamp_ids.items():
+        try:
+            instants[t] = _parse_ts(stamp)
+        except DataError as exc:
+            raise DataError(f"{path}: line {stamp_lines[t]}: {exc}") from None
+    return LongTable(instants, list(key_ids), row_stamp, row_key, row_value)
+
+
+def pivot_long(path, table: LongTable, timestamps, keys, what):
+    """The (len(timestamps), len(keys)) matrix of a table's values.
+
+    Rows at other instants or with other keys are ignored; when a
+    (timestamp, key) cell repeats, the later row wins.  A missing cell is a
+    DataError naming its key and timestamp.
+    """
+    row_at = {ts: t for t, ts in enumerate(timestamps.view("int64").tolist())}
+    t_of = [row_at.get(ts) for ts in table.instants.view("int64").tolist()]
+    col = {key: j for j, key in enumerate(keys)}
+    j_of = [col.get(key) for key in table.keys]
+    width = len(keys)
+    cells = [None] * (len(timestamps) * width)
+    for i, k, number in zip(table.row_stamp, table.row_key, table.row_value):
+        t, j = t_of[i], j_of[k]
+        if t is not None and j is not None:
+            cells[t * width + j] = number
+    if None in cells:
+        t, j = divmod(cells.index(None), width)
+        raise DataError(
+            f"{path}: missing {what} for {', '.join(keys[j])} at {timestamps[t]}"
+        )
+    return np.array(cells, dtype=float).reshape(len(timestamps), width)
+
+
 def load_panel(hierarchy, obs_path, exog_path=None, calendar=_CAL_DEFAULT,
                eps_data=1e-6) -> SeriesPanel:
-    """Read long-format observation (and optional exogenous) CSVs."""
-    cells = {}
-    stamps = {}
-    with open(obs_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"timestamp", "node_id", "value"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise DataError(f"{obs_path}: expected header timestamp,node_id,value")
-        try:
-            for row in reader:
-                ts = _parse_ts(row["timestamp"])
-                stamps[str(ts)] = ts
-                cells[(str(ts), row["node_id"])] = float(row["value"])
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{obs_path}: line {reader.line_num}: {exc}") from None
-    timestamps = np.array(sorted(stamps.values()), dtype="datetime64[s]")
-    T = len(timestamps)
-    values = np.empty((T, hierarchy.M))
-    for t, ts in enumerate(timestamps):
-        for j, node_id in enumerate(hierarchy.node_ids):
-            key = (str(ts), node_id)
-            if key not in cells:
-                raise DataError(
-                    f"{obs_path}: missing observation for node {node_id!r} "
-                    f"at {ts}"
-                )
-            values[t, j] = cells[key]
+    """Read long-format observation (and optional exogenous) CSVs.
 
+    Columns follow hierarchy order; exog variables are sorted per node and
+    aligned to the observation timestamps.
+    """
+    table = read_long_csv(obs_path, ("node_id",))
+    timestamps = np.unique(table.instants)
+    values = pivot_long(obs_path, table, timestamps,
+                        [(n,) for n in hierarchy.node_ids], "observation")
     exog = {}
     if exog_path is not None:
-        raw = {}
-        with open(exog_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            required = {"timestamp", "node_id", "variable", "value"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise DataError(
-                    f"{exog_path}: expected header timestamp,node_id,variable,value"
-                )
-            try:
-                for row in reader:
-                    ts = str(_parse_ts(row["timestamp"]))
-                    raw.setdefault(row["node_id"], {})[(ts, row["variable"])] = float(
-                        row["value"]
-                    )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{exog_path}: line {reader.line_num}: {exc}") from None
-        for node_id, cells_n in raw.items():
-            names = sorted({var for _, var in cells_n})
-            mat = np.empty((T, len(names)))
-            for t, ts in enumerate(timestamps):
-                for j, var in enumerate(names):
-                    key = (str(ts), var)
-                    if key not in cells_n:
-                        raise DataError(
-                            f"{exog_path}: missing {var!r} for node {node_id!r} "
-                            f"at {ts}"
-                        )
-                    mat[t, j] = cells_n[key]
-            exog[node_id] = (names, mat)
-
+        table = read_long_csv(exog_path, ("node_id", "variable"))
+        keys = sorted(table.keys)
+        mat = pivot_long(exog_path, table, timestamps, keys, "exog value")
+        columns = {}
+        for j, (node_id, _) in enumerate(keys):
+            columns.setdefault(node_id, []).append(j)
+        for node_id, cols in columns.items():
+            exog[node_id] = ([keys[j][1] for j in cols], mat[:, cols])
     return SeriesPanel(
         hierarchy=hierarchy,
         timestamps=timestamps,

@@ -97,14 +97,6 @@ def feature_matrix(panel: SeriesPanel, child_ids):
     return names, np.column_stack(parts)
 
 
-def assemble_features(panel: SeriesPanel, child_ids, t):
-    """Feature vector for one target step."""
-    names, mat = feature_matrix(panel, child_ids)
-    if not 0 <= t < panel.T:
-        raise DataError(f"no features available at step {t}")
-    return names, mat[t]
-
-
 def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
               end=None) -> DisaggregationModel:
     """Step 1: fit the disaggregation network on observed history.
@@ -235,30 +227,59 @@ def _publish(panel, bottom_values):
     return aggregate(S, bottom_values)
 
 
-def nnd_standard_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
-                         root_forecast=None, m_season=7) -> NndResult:
-    """One model from the root straight to the bottom level; bottom
-    forecasts are re-aggregated upward, so coherence is exact."""
+def _pairs_below(hier, level):
+    """(parent, children) for every non-leaf node from ``level`` down, in
+    cascade order."""
+    return [(node_id, tuple(hier.children(node_id)))
+            for lv in range(level, hier.K - 1) for node_id in hier.level_ids(lv)]
+
+
+def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
+    """Train one model per (parent, children) pair, then disaggregate from
+    ``start_forecasts`` (node -> forecast, or None to select one) down the
+    pairs in order.  The published set is re-aggregated from the bottom."""
     hier = panel.hierarchy
     if hier.K < 2:
         raise DataError("disaggregation needs at least 2 levels")
     if n_train + h > panel.T:
         raise DataError("test horizon extends past the panel")
-    root = hier.root_id
-    if root_forecast is None:
-        root_forecast = _root_forecast(panel, root, n_train, h, cfg, m_season)
-    model = _train_models(panel, [(root, tuple(hier.bottom_ids))], cfg, n_train)[root]
-    _, feats_all = feature_matrix(panel, model.child_ids)
-    bottom = disaggregate(
-        model, root_forecast, feats_all[n_train:n_train + h],
-        panel.series(root)[:n_train],
-    )
+    forecasts = {}
+    for node_id, fc in start_forecasts.items():
+        if fc is None:
+            fc = _root_forecast(panel, node_id, n_train, h, cfg, m_season)
+        forecasts[node_id] = np.asarray(fc, dtype=float)
+    models = _train_models(panel, pairs, cfg, n_train)
+    violations = {}
+    for node_id, _ in pairs:
+        model = models[node_id]
+        try:
+            _, feats_all = feature_matrix(panel, model.child_ids)
+            child_fc = disaggregate(
+                model, forecasts[node_id],
+                feats_all[n_train:n_train + h],
+                panel.series(node_id)[:n_train],
+            )
+        except Exception as exc:
+            raise type(exc)(f"[node {node_id}] {exc}") from exc
+        violations[node_id] = raw_violation(child_fc, forecasts[node_id])
+        for j, child in enumerate(model.child_ids):
+            forecasts[child] = child_fc[:, j]
+    bottom = np.column_stack([forecasts[n] for n in hier.bottom_ids])
     return NndResult(
         values=_publish(panel, bottom),
-        models={root: model},
-        raw_violations={root: raw_violation(bottom, np.asarray(root_forecast))},
-        root_forecast=np.asarray(root_forecast, dtype=float),
+        models=models,
+        raw_violations=violations,
+        root_forecast=forecasts.get(hier.root_id, np.zeros(h)),
     )
+
+
+def nnd_standard_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
+                         root_forecast=None, m_season=7) -> NndResult:
+    """One model from the root straight to the bottom level; bottom
+    forecasts are re-aggregated upward, so coherence is exact."""
+    hier = panel.hierarchy
+    return _cascade(panel, n_train, h, cfg, {hier.root_id: root_forecast},
+                    [(hier.root_id, tuple(hier.bottom_ids))], m_season)
 
 
 def nnd_iterative_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
@@ -266,44 +287,8 @@ def nnd_iterative_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
     """One model per non-leaf node; forecasts cascade level by level, and
     the published set is re-aggregated from the bottom."""
     hier = panel.hierarchy
-    if hier.K < 2:
-        raise DataError("disaggregation needs at least 2 levels")
-    if n_train + h > panel.T:
-        raise DataError("test horizon extends past the panel")
-    root = hier.root_id
-    if root_forecast is None:
-        root_forecast = _root_forecast(panel, root, n_train, h, cfg, m_season)
-
-    pairs = []
-    for level in range(hier.K - 1):
-        for node_id in hier.level_ids(level):
-            pairs.append((node_id, tuple(hier.children(node_id))))
-    models = _train_models(panel, pairs, cfg, n_train)
-
-    forecasts = {root: np.asarray(root_forecast, dtype=float)}
-    violations = {}
-    for level in range(hier.K - 1):
-        for node_id in hier.level_ids(level):
-            model = models[node_id]
-            try:
-                _, feats_all = feature_matrix(panel, model.child_ids)
-                child_fc = disaggregate(
-                    model, forecasts[node_id],
-                    feats_all[n_train:n_train + h],
-                    panel.series(node_id)[:n_train],
-                )
-            except Exception as exc:
-                raise type(exc)(f"[node {node_id}] {exc}") from exc
-            violations[node_id] = raw_violation(child_fc, forecasts[node_id])
-            for j, child in enumerate(model.child_ids):
-                forecasts[child] = child_fc[:, j]
-    bottom = np.column_stack([forecasts[n] for n in hier.bottom_ids])
-    return NndResult(
-        values=_publish(panel, bottom),
-        models=models,
-        raw_violations=violations,
-        root_forecast=np.asarray(root_forecast, dtype=float),
-    )
+    return _cascade(panel, n_train, h, cfg, {hier.root_id: root_forecast},
+                    _pairs_below(hier, 0), m_season)
 
 
 def nnd_middle_out(panel: SeriesPanel, n_train, h, middle_level,
@@ -316,36 +301,6 @@ def nnd_middle_out(panel: SeriesPanel, n_train, h, middle_level,
         raise DataError(
             f"middle level {middle_level} must lie in [0, {hier.K - 2}]"
         )
-    if middle_level == 0:
-        return nnd_iterative_topdown(panel, n_train, h, cfg, m_season=m_season)
-
-    forecasts = {}
-    for node_id in hier.level_ids(middle_level):
-        forecasts[node_id] = _root_forecast(panel, node_id, n_train, h, cfg, m_season)
-
-    pairs = []
-    for level in range(middle_level, hier.K - 1):
-        for node_id in hier.level_ids(level):
-            pairs.append((node_id, tuple(hier.children(node_id))))
-    models = _train_models(panel, pairs, cfg, n_train)
-
-    violations = {}
-    for level in range(middle_level, hier.K - 1):
-        for node_id in hier.level_ids(level):
-            model = models[node_id]
-            _, feats_all = feature_matrix(panel, model.child_ids)
-            child_fc = disaggregate(
-                model, forecasts[node_id],
-                feats_all[n_train:n_train + h],
-                panel.series(node_id)[:n_train],
-            )
-            violations[node_id] = raw_violation(child_fc, np.asarray(forecasts[node_id]))
-            for j, child in enumerate(model.child_ids):
-                forecasts[child] = child_fc[:, j]
-    bottom = np.column_stack([forecasts[n] for n in hier.bottom_ids])
-    return NndResult(
-        values=_publish(panel, bottom),
-        models=models,
-        raw_violations=violations,
-        root_forecast=np.asarray(forecasts.get(hier.root_id, np.zeros(h)), dtype=float),
-    )
+    return _cascade(panel, n_train, h, cfg,
+                    dict.fromkeys(hier.level_ids(middle_level)),
+                    _pairs_below(hier, middle_level), m_season)

@@ -219,6 +219,41 @@ class TestNonNumericCells:
         ])
         self._assert_data_error(code, capsys, bad)
 
+    def _zero_forecasts(self, dataset, path, method="bu", kind="coherent"):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        ForecastSet(method=method, node_ids=hier.node_ids,
+                    timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
+                    values=np.zeros((1, hier.M)), kind=kind).write_csv(path)
+        return path
+
+    def test_observation_empty_timestamp(self, dataset, tmp_path, capsys):
+        bad = _with_cell(dataset / "observations.csv", tmp_path / "obs.csv", 0, "")
+        self._assert_data_error(
+            self._evaluate(dataset, tmp_path, observations=bad), capsys, bad)
+
+    def test_forecast_empty_timestamp(self, dataset, tmp_path, capsys):
+        good = self._zero_forecasts(dataset, tmp_path / "good.csv")
+        bad = _with_cell(good, tmp_path / "bu.csv", 0, "")
+        self._assert_data_error(
+            self._evaluate(dataset, tmp_path, forecasts=bad), capsys, bad)
+
+    def test_error_matrix_without_timestamp_column(self, dataset, tmp_path,
+                                                   capsys):
+        base = self._zero_forecasts(dataset, tmp_path / "base.csv",
+                                    method="fstar", kind="base")
+        bad = tmp_path / "errors.csv"
+        bad.write_text("node_id,error\ntotal,1.0\n")
+        code = main([
+            "reconcile", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--base", str(base), "--methods", "mint", "--errors", str(bad),
+            "--split", "100", "--out-dir", str(tmp_path / "rec"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert f"{bad}: expected header timestamp,node_id,error" in err["message"]
+
 
 class TestEvaluate:
     def _reconciled(self, dataset, tmp_path):

@@ -7,7 +7,7 @@ from hiercast import (ArchConfig, DataError, Hierarchy, NndConfig,
                       nnd_middle_out, nnd_standard_topdown, raw_violation,
                       train_nnd)
 from hiercast.neuralnet import TrainConfig
-from hiercast.nnd import assemble_features, feature_matrix
+from hiercast.nnd import feature_matrix
 
 from conftest import make_hierarchy, panel_from_bottom
 
@@ -86,8 +86,8 @@ class TestFeatures:
 
     def test_promo_plus_dow_vector_length(self, rng):
         panel = self._promo_panel(rng)
-        names, vec = assemble_features(panel, ["g00", "g01"], 3)
-        assert len(vec) == 2 + 6
+        names, mat = feature_matrix(panel, ["g00", "g01"])
+        assert mat.shape == (panel.T, 2 + 6)
         assert names[:2] == ["g00:promo", "g01:promo"]
         assert names[2:] == [f"dow_{i}" for i in range(1, 7)]
 
@@ -96,11 +96,6 @@ class TestFeatures:
         names, mat = feature_matrix(panel, list(panel.hierarchy.bottom_ids))
         assert names == []
         assert mat.shape == (20, 0)
-
-    def test_out_of_range_step_rejected(self, rng):
-        panel = self._promo_panel(rng)
-        with pytest.raises(DataError):
-            assemble_features(panel, ["g00", "g01"], 99)
 
 
 class TestTrainDisaggregate:
