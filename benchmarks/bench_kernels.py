@@ -1,11 +1,13 @@
-"""Time the hot kernels of the active backend.
+"""Time the hot kernels.
 
     python3 benchmarks/bench_kernels.py
-    HIERCAST_NO_NUMBA=1 python3 benchmarks/bench_kernels.py
 
-The convolution rows use the active backend (numba when it imports and
-``HIERCAST_NO_NUMBA`` is unset, numpy otherwise).  The smoothing rows are
-numpy only and time one full parameter grid, the work of one ``Ets.fit``.
+The convolution rows use the shapes an NND2 network trains on (window 30,
+kernel 4, 16 filters): the first layer has one input channel, the later
+ones 16.  A batch of 32 is a training minibatch; 190 is the size of a
+loss pass over a whole training split (nnd-train has 193 windows per
+network).  The smoothing rows time one full parameter grid,
+the work of one ``Ets.fit``.
 """
 
 import time
@@ -31,15 +33,18 @@ def main():
     rng = np.random.default_rng(0)
     results = []
 
-    B, w, c_in, c_out, ks = 64, 30, 16, 16, 4
-    x = rng.standard_normal((B, w, c_in))
-    k = rng.standard_normal((ks, c_in, c_out))
-    bias = rng.standard_normal(c_out)
-    gout = rng.standard_normal((B, w, c_out))
-    results.append(("conv1d_same (64x30x16)",
-                    _bench(kernels.conv1d_same, x, k, bias)))
-    results.append(("conv1d_same_grad (64x30x16)",
-                    _bench(kernels.conv1d_same_grad, x, k, gout)))
+    w, ks, c_out = 30, 4, 16
+    for B in (32, 190):
+        for c_in in (1, 16):
+            x = rng.standard_normal((B, w, c_in))
+            k = rng.standard_normal((ks, c_in, c_out))
+            bias = rng.standard_normal(c_out)
+            gout = rng.standard_normal((B, w, c_out))
+            shape = f"B={B} w={w} c_in={c_in} ks={ks}"
+            results.append((f"conv1d_same ({shape})",
+                            _bench(kernels.conv1d_same, x, k, bias)))
+            results.append((f"conv1d_same_grad ({shape})",
+                            _bench(kernels.conv1d_same_grad, x, k, gout)))
 
     y = rng.standard_normal(1460).cumsum() + 100.0
     results.append(("ses_fit (T=1460, 10 combos)",
@@ -49,14 +54,8 @@ def main():
     results.append(("hw_add_fit (T=1460, m=7, 1000 combos)",
                     _bench(kernels.hw_add_fit, y, 7, *_HW_GRID)))
 
-    try:
-        import numba  # noqa: F401
-        numba_imports = "yes"
-    except ImportError:
-        numba_imports = "no"
-    print(f"numba imports: {numba_imports}; conv backend: {kernels.BACKEND}")
     for name, secs in results:
-        print(f"  {name:38s} {secs * 1e6:10.1f} us")
+        print(f"  {name:50s} {secs * 1e6:10.1f} us")
 
 
 if __name__ == "__main__":

@@ -1,26 +1,17 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, numpy only.
 
-The 1-D convolution has a numba backend (``@njit`` loops) and a numpy
-backend (vectorized shifts); ``HIERCAST_NO_NUMBA=1`` set before import, or a
-missing numba, selects numpy.  The exponential-smoothing kernels are numpy
-only and fit a whole parameter grid in one pass over time.
+The 1-D convolution lowers each layer to one matrix product over a column
+matrix (im2col; Chellapilla et al., 2006), and its gradient to two more.
+The exponential-smoothing kernels fit a whole parameter grid in one pass
+over time.
 
 ``benchmarks/bench_kernels.py`` times the kernels.
 """
 
-import os
-
 import numpy as np
 
-_NO_NUMBA = os.environ.get("HIERCAST_NO_NUMBA", "0") not in ("", "0")
-
-if not _NO_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _NO_NUMBA = True
-
-BACKEND = "numpy" if _NO_NUMBA else "numba"
+# The one kernel implementation; benchmark records read it.
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -31,78 +22,45 @@ BACKEND = "numpy" if _NO_NUMBA else "numba"
 # kernel sizes, which the default grids use).
 # ---------------------------------------------------------------------------
 
-def _conv1d_same_np(x, k, bias):
+def _columns(x, ks, pad):
+    """(B*w, ks*c_in) column matrix: row (b, t) holds x[b, t-pad+u, :] for
+    u = 0..ks-1, zero where t-pad+u falls outside [0, w)."""
     B, w, c_in = x.shape
-    ks, _, c_out = k.shape
-    pad = (ks - 1) // 2
-    out = np.broadcast_to(bias, (B, w, c_out)).copy()
-    for u in range(ks):
-        off = u - pad
-        lo = max(0, -off)
-        hi = min(w, w - off)
-        if lo >= hi:
-            continue
-        out[:, lo:hi, :] += x[:, lo + off:hi + off, :] @ k[u]
+    xp = np.zeros((B, w + ks - 1, c_in))
+    xp[:, pad:pad + w] = x
+    # overlapping (B, w, ks, c_in) view: tap u of step t is padded row t+u.
+    # The ndarray constructor checks the strides against xp's buffer and
+    # costs a fraction of sliding_window_view per call.
+    s_b, s_t, s_c = xp.strides
+    taps = np.ndarray((B, w, ks, c_in), xp.dtype, xp, 0, (s_b, s_t, s_t, s_c))
+    return taps.reshape(B * w, ks * c_in)
+
+
+def _conv(x, k, pad):
+    B, w, _ = x.shape
+    ks, c_in, c_out = k.shape
+    return (_columns(x, ks, pad) @ k.reshape(ks * c_in, c_out)).reshape(B, w, c_out)
+
+
+def conv1d_same(x, k, bias):
+    """'Same' convolution of x with k plus bias, as one GEMM."""
+    out = _conv(x, k, (k.shape[0] - 1) // 2)
+    out += bias
     return out
 
 
-def _conv1d_same_grad_np(x, k, gout):
-    B, w, c_in = x.shape
+def conv1d_same_grad(x, k, gout):
+    """Gradients (gx, gk, gb) of conv1d_same given dLoss/dout.
+
+    gk is the column matrix transposed times gout.  gx is the transposed
+    convolution: gout convolved with the tap-flipped, channel-swapped
+    kernel, padded on the other side.
+    """
     ks, _, c_out = k.shape
     pad = (ks - 1) // 2
-    gx = np.zeros_like(x)
-    gk = np.zeros_like(k)
-    for u in range(ks):
-        off = u - pad
-        lo = max(0, -off)
-        hi = min(w, w - off)
-        if lo >= hi:
-            continue
-        xs = x[:, lo + off:hi + off, :]
-        gs = gout[:, lo:hi, :]
-        gk[u] = np.einsum("bti,bto->io", xs, gs)
-        gx[:, lo + off:hi + off, :] += gs @ k[u].T
-    gb = gout.sum(axis=(0, 1))
-    return gx, gk, gb
-
-
-def _conv1d_same_loops(x, k, bias):
-    B, w, c_in = x.shape
-    ks, _, c_out = k.shape
-    pad = (ks - 1) // 2
-    out = np.empty((B, w, c_out))
-    for b in range(B):
-        for t in range(w):
-            for o in range(c_out):
-                acc = bias[o]
-                for u in range(ks):
-                    src = t + u - pad
-                    if 0 <= src < w:
-                        for i in range(c_in):
-                            acc += x[b, src, i] * k[u, i, o]
-                out[b, t, o] = acc
-    return out
-
-
-def _conv1d_same_grad_loops(x, k, gout):
-    B, w, c_in = x.shape
-    ks, _, c_out = k.shape
-    pad = (ks - 1) // 2
-    gx = np.zeros_like(x)
-    gk = np.zeros_like(k)
-    gb = np.zeros(c_out)
-    for b in range(B):
-        for t in range(w):
-            for o in range(c_out):
-                g = gout[b, t, o]
-                gb[o] += g
-                for u in range(ks):
-                    src = t + u - pad
-                    if 0 <= src < w:
-                        for i in range(c_in):
-                            gk[u, i, o] += x[b, src, i] * g
-                            gx[b, src, i] += k[u, i, o] * g
-    return gx, gk, gb
+    gk = (_columns(x, ks, pad).T @ gout.reshape(-1, c_out)).reshape(k.shape)
+    gx = _conv(gout, k[::-1].transpose(0, 2, 1), ks - 1 - pad)
+    return gx, gk, gout.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +124,3 @@ def hw_add_fit(y, m, alpha, beta, gamma):
         level = new_level
     return level, trend, season, sse
 
-
-if _NO_NUMBA:
-    conv1d_same = _conv1d_same_np
-    conv1d_same_grad = _conv1d_same_grad_np
-else:
-    conv1d_same = njit(cache=True)(_conv1d_same_loops)
-    conv1d_same_grad = njit(cache=True)(_conv1d_same_grad_loops)

@@ -147,8 +147,10 @@ def init_params(spec: NetworkSpec, rng) -> list:
     return params
 
 
-def _forward_cache(spec, params, exog, window):
-    """Forward pass keeping pre-activations for backprop."""
+def _forward_cache(spec, params, exog, window, keep=True):
+    """Forward pass.  With ``keep`` it also returns the per-layer inputs and
+    pre-activations that ``backward`` needs; without, the cache is None and
+    no layer's arrays outlive the next layer (loss-only passes)."""
     B = exog.shape[0] if spec.has_mlp else window.shape[0]
     idx = 0
     mlp_inputs, mlp_pre = [], []
@@ -157,9 +159,10 @@ def _forward_cache(spec, params, exog, window):
         for _ in spec.mlp_widths:
             W, b = params[idx], params[idx + 1]
             idx += 2
-            mlp_inputs.append(a)
             z = a @ W + b
-            mlp_pre.append(z)
+            if keep:
+                mlp_inputs.append(a)
+                mlp_pre.append(z)
             a = np.maximum(z, 0.0)
     cnn_inputs, cnn_pre = [], []
     x = window[:, :, None] if spec.has_cnn else None
@@ -167,9 +170,10 @@ def _forward_cache(spec, params, exog, window):
         for _ in spec.conv_filters:
             K, b = params[idx], params[idx + 1]
             idx += 2
-            cnn_inputs.append(x)
-            z = kernels.conv1d_same(np.ascontiguousarray(x), K, b)
-            cnn_pre.append(z)
+            z = kernels.conv1d_same(x, K, b)
+            if keep:
+                cnn_inputs.append(x)
+                cnn_pre.append(z)
             x = np.maximum(z, 0.0)
     parts = []
     if spec.has_mlp:
@@ -179,7 +183,7 @@ def _forward_cache(spec, params, exog, window):
     feats = np.concatenate(parts, axis=1)
     Wh, bh = params[idx], params[idx + 1]
     out = feats @ Wh + bh
-    cache = (mlp_inputs, mlp_pre, cnn_inputs, cnn_pre, feats)
+    cache = (mlp_inputs, mlp_pre, cnn_inputs, cnn_pre, feats) if keep else None
     return out, cache
 
 
@@ -191,7 +195,7 @@ def forward(spec, params, exog, window):
         raise ConfigError(f"exog input has {exog.shape[1]} columns, spec wants {spec.exog_dim}")
     if spec.has_cnn and window.shape[1] != spec.window:
         raise ConfigError(f"window input has length {window.shape[1]}, spec wants {spec.window}")
-    out, _ = _forward_cache(spec, params, exog, window)
+    out, _ = _forward_cache(spec, params, exog, window, keep=False)
     return out
 
 
@@ -223,9 +227,7 @@ def backward(spec, params, cache, gout):
         for j in range(len(spec.conv_filters) - 1, -1, -1):
             gz = gx * (cnn_pre[j] > 0)
             K = params[base + 2 * j]
-            gx, gk, gb = kernels.conv1d_same_grad(
-                np.ascontiguousarray(cnn_inputs[j]), K, np.ascontiguousarray(gz)
-            )
+            gx, gk, gb = kernels.conv1d_same_grad(cnn_inputs[j], K, gz)
             grads[base + 2 * j] = gk
             grads[base + 2 * j + 1] = gb
     return grads
@@ -321,7 +323,7 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig) -> TrainedNetwork:
     state = adam_init(params)
 
     def full_loss(lo, hi):
-        out, _ = _forward_cache(spec, params, ex_s[lo:hi], win_s[lo:hi])
+        out, _ = _forward_cache(spec, params, ex_s[lo:hi], win_s[lo:hi], keep=False)
         return coherence_loss(targets[lo:hi], out, config.alpha)
 
     best_loss = np.inf

@@ -146,6 +146,17 @@ class ErrorCovariance:
         object.__setattr__(self, "W", W)
 
 
+def _correlation_variance(Z):
+    """Schafer-Strimmer (2005) variance of each sample correlation of the
+    standardized (n, M) matrix Z: n/(n-1)^3 sum_k (w_kij - mean_k w_kij)^2
+    with w_kij = z_ki z_kj, expanded as sum_k w^2 - (sum_k w)^2/n so that
+    no (n, M, M) tensor is built."""
+    n = Z.shape[0]
+    Z2 = Z * Z
+    ZtZ = Z.T @ Z
+    return (n / (n - 1.0) ** 3) * (Z2.T @ Z2 - ZtZ * ZtZ / n)
+
+
 def shrinkage_covariance(errors, lam=None) -> ErrorCovariance:
     """Shrink the sample covariance of base-forecast errors toward its
     diagonal.  The intensity follows the Schafer-Strimmer closed form on
@@ -163,8 +174,7 @@ def shrinkage_covariance(errors, lam=None) -> ErrorCovariance:
         s = np.where(s > 0, s, 1.0)
         Z = Xc / s
         R = (Z.T @ Z) / (n - 1)
-        Wt = Z[:, :, None] * Z[:, None, :]
-        var_r = (n / (n - 1.0) ** 3) * ((Wt - Wt.mean(axis=0)) ** 2).sum(axis=0)
+        var_r = _correlation_variance(Z)
         off = ~np.eye(M, dtype=bool)
         denom = float((R[off] ** 2).sum())
         lam = 1.0 if denom == 0 else float(np.clip(var_r[off].sum() / denom, 0.0, 1.0))

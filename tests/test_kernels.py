@@ -1,13 +1,52 @@
-import os
-
 import numpy as np
 import pytest
 
 from hiercast import kernels
 from hiercast.forecasters import (_ETS_GRID, _HOLT_GRID, _HW_GRID, Ets,
                                   _first_min)
-from hiercast.kernels import (_conv1d_same_grad_loops, _conv1d_same_grad_np,
-                              _conv1d_same_loops, _conv1d_same_np)
+
+
+# ---------------------------------------------------------------------------
+# Scalar-loop convolution: the reference the GEMM kernels must match.
+# ---------------------------------------------------------------------------
+
+def _conv1d_same_loops(x, k, bias):
+    B, w, c_in = x.shape
+    ks, _, c_out = k.shape
+    pad = (ks - 1) // 2
+    out = np.empty((B, w, c_out))
+    for b in range(B):
+        for t in range(w):
+            for o in range(c_out):
+                acc = bias[o]
+                for u in range(ks):
+                    src = t + u - pad
+                    if 0 <= src < w:
+                        for i in range(c_in):
+                            acc += x[b, src, i] * k[u, i, o]
+                out[b, t, o] = acc
+    return out
+
+
+def _conv1d_same_grad_loops(x, k, gout):
+    B, w, c_in = x.shape
+    ks, _, c_out = k.shape
+    pad = (ks - 1) // 2
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    gb = np.zeros(c_out)
+    for b in range(B):
+        for t in range(w):
+            for o in range(c_out):
+                g = gout[b, t, o]
+                gb[o] += g
+                for u in range(ks):
+                    src = t + u - pad
+                    if 0 <= src < w:
+                        for i in range(c_in):
+                            gk[u, i, o] += x[b, src, i] * g
+                            gx[b, src, i] += k[u, i, o] * g
+    return gx, gk, gb
 
 
 # ---------------------------------------------------------------------------
@@ -75,46 +114,45 @@ def _strict_less_pick(fits):
     return best[1]
 
 
-class TestBackendSelection:
-    def test_backend_matches_environment(self):
-        flag = os.environ.get("HIERCAST_NO_NUMBA", "0") not in ("", "0")
-        if flag:
-            assert kernels.BACKEND == "numpy"
-        else:
-            assert kernels.BACKEND in ("numpy", "numba")
-
-
 class TestConvAgreement:
+    """The GEMM kernels against the scalar loops over a shape grid that
+    includes kernels longer than the window (taps wholly in the padding)."""
+
+    C_OUT = 3
+
+    def _cases(self, rng):
+        for B in (1, 32):
+            for w in (1, 2, 3, 14, 30):
+                for c_in in (1, 16):
+                    for ks in (1, 2, 3, 4, 8, 16):
+                        x = rng.standard_normal((B, w, c_in))
+                        k = rng.standard_normal((ks, c_in, self.C_OUT))
+                        yield x, k
+
     def test_vectorized_matches_loops(self, rng):
-        for _ in range(10):
-            B, w, ci, co = (int(rng.integers(1, 5)) for _ in range(4))
-            ks = int(rng.integers(1, 6))
-            x = rng.standard_normal((B, w, ci))
-            k = rng.standard_normal((ks, ci, co))
-            bias = rng.standard_normal(co)
-            assert np.allclose(_conv1d_same_np(x, k, bias),
+        for x, k in self._cases(rng):
+            bias = rng.standard_normal(self.C_OUT)
+            assert np.allclose(kernels.conv1d_same(x, k, bias),
                                _conv1d_same_loops(x, k, bias), atol=1e-12)
 
     def test_grad_vectorized_matches_loops(self, rng):
-        for _ in range(10):
-            B, w, ci, co = (int(rng.integers(1, 5)) for _ in range(4))
-            ks = int(rng.integers(1, 6))
-            x = rng.standard_normal((B, w, ci))
-            k = rng.standard_normal((ks, ci, co))
-            g = rng.standard_normal((B, w, co))
-            for a, b in zip(_conv1d_same_grad_np(x, k, g),
-                            _conv1d_same_grad_loops(x, k, g)):
+        for x, k in self._cases(rng):
+            g = rng.standard_normal(x.shape[:2] + (self.C_OUT,))
+            got = kernels.conv1d_same_grad(x, k, g)
+            want = _conv1d_same_grad_loops(x, k, g)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
                 assert np.allclose(a, b, atol=1e-12)
 
-    def test_active_backend_matches_reference(self, rng):
-        x = rng.standard_normal((3, 8, 2))
-        k = rng.standard_normal((4, 2, 3))
-        bias = rng.standard_normal(3)
+    def test_non_contiguous_inputs(self, rng):
+        x = rng.standard_normal((4, 10, 6))[:, :, ::2]
+        k = rng.standard_normal((4, 3, 5))
+        g = rng.standard_normal((4, 10, 10))[:, :, ::2]
+        bias = rng.standard_normal(5)
         assert np.allclose(kernels.conv1d_same(x, k, bias),
-                           _conv1d_same_np(x, k, bias), atol=1e-12)
-        g = rng.standard_normal((3, 8, 3))
+                           _conv1d_same_loops(x, k, bias), atol=1e-12)
         for a, b in zip(kernels.conv1d_same_grad(x, k, g),
-                        _conv1d_same_grad_np(x, k, g)):
+                        _conv1d_same_grad_loops(x, k, g)):
             assert np.allclose(a, b, atol=1e-12)
 
 

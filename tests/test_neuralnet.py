@@ -47,6 +47,16 @@ class TestForward:
                           rng.standard_normal((2, 10)))
             assert out.shape == (2, 1)
 
+    def test_forward_equals_caching_pass(self, rng):
+        for _ in range(5):
+            spec, params, exog, window, _ = random_tiny_network(rng)
+            out, cache = neuralnet._forward_cache(spec, params, exog, window)
+            assert cache is not None
+            assert np.array_equal(forward(spec, params, exog, window), out)
+            _, no_cache = neuralnet._forward_cache(spec, params, exog, window,
+                                                   keep=False)
+            assert no_cache is None
+
     def test_shape_mismatch_rejected(self, rng):
         spec = NetworkSpec(out_dim=1, exog_dim=3, window=0,
                            mlp_widths=(2,), conv_filters=())

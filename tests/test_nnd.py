@@ -6,10 +6,12 @@ from hiercast import (ArchConfig, DataError, Hierarchy, NndConfig,
                       disaggregate, make_windows, nnd_iterative_topdown,
                       nnd_middle_out, nnd_standard_topdown, raw_violation,
                       train_nnd)
+from hiercast import kernels
 from hiercast.neuralnet import TrainConfig
 from hiercast.nnd import feature_matrix
 
 from conftest import make_hierarchy, panel_from_bottom
+from test_kernels import _conv1d_same_grad_loops, _conv1d_same_loops
 
 
 def tiny_cfg(**kw):
@@ -219,6 +221,33 @@ class TestStrategies:
         r_mo = nnd_middle_out(panel, 45, 5, 0, cfg, m_season=7)
         r_2 = nnd_iterative_topdown(panel, 45, 5, cfg, m_season=7)
         assert np.array_equal(r_mo.values, r_2.values)
+
+    def test_nnd2_forecasts_match_loop_kernels(self, monkeypatch):
+        # the GEMM kernels sum in another order than the scalar loops;
+        # training through either publishes the same forecasts to 1e-9
+        panel = coherent_panel_for(make_hierarchy((2, 2)), 60)
+        cfg = tiny_cfg(
+            window=WindowConfig(w=6),
+            train=TrainConfig(max_epochs=4, patience=4, batch_size=8),
+            arch=ArchConfig(hidden=4, n_dense=1, filters=3, n_conv=2,
+                            kernel_size=4),
+            seed=5)
+        root = panel.series("total")[40:45] * 1.01
+        fast = nnd_iterative_topdown(panel, 40, 5, cfg, root_forecast=root)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernels, "conv1d_same", counted(_conv1d_same_loops))
+        monkeypatch.setattr(kernels, "conv1d_same_grad",
+                            counted(_conv1d_same_grad_loops))
+        slow = nnd_iterative_topdown(panel, 40, 5, cfg, root_forecast=root)
+        assert {_conv1d_same_loops, _conv1d_same_grad_loops} <= set(calls)
+        np.testing.assert_allclose(fast.values, slow.values, rtol=1e-9, atol=0)
 
     def test_middle_out_level_one_counts_and_coherence(self):
         hier = make_hierarchy((4, 2))

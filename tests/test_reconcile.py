@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hiercast import reconcile
 from hiercast import (DataError, ErrorCovariance, Hierarchy, NumericError,
                       aggregate, apply_topdown, bottom_up,
                       build_summing_matrix, coherence_violation, middle_out,
@@ -211,6 +212,44 @@ class TestShrinkageCovariance:
         cov = shrinkage_covariance(E, lam=0.5)
         expected = 0.5 * np.diag(np.diag(sample)) + 0.5 * sample
         assert np.allclose(cov.W, expected)
+
+    @staticmethod
+    def _tensor_terms(E):
+        """lambda and var_r from the (n, M, M) tensor of the textbook
+        Schafer-Strimmer formula."""
+        n, M = E.shape
+        Xc = E - E.mean(axis=0)
+        s = np.sqrt(np.diag((Xc.T @ Xc) / (n - 1)))
+        Z = Xc / np.where(s > 0, s, 1.0)
+        R = (Z.T @ Z) / (n - 1)
+        Wt = Z[:, :, None] * Z[:, None, :]
+        var_r = (n / (n - 1.0) ** 3) * ((Wt - Wt.mean(axis=0)) ** 2).sum(axis=0)
+        off = ~np.eye(M, dtype=bool)
+        lam = float(np.clip(var_r[off].sum() / (R[off] ** 2).sum(), 0.0, 1.0))
+        return Z, var_r, lam
+
+    def test_variance_term_matches_tensor_formula(self, rng):
+        # the O(M^2) expansion rounds differently from the tensor: agree to
+        # a relative 1e-12, constant (all-zero after centring) columns too
+        for n, M in ((5, 4), (12, 3), (60, 12), (200, 30)):
+            E = rng.standard_normal((n, M)) * rng.uniform(0.1, 10.0, M)
+            E[:, 1] = 3.0
+            Z, var_r, lam = self._tensor_terms(E)
+            got = reconcile._correlation_variance(Z)
+            assert np.allclose(got, var_r, rtol=1e-12, atol=0.0)
+            assert np.all(got[1] == 0.0) and np.all(got[:, 1] == 0.0)
+            assert shrinkage_covariance(E).lam == pytest.approx(lam, rel=1e-12)
+
+    def test_variance_term_near_zero_within_rounding_of_its_terms(self, rng):
+        # n=2: every product z_ki z_kj is the same for both rows, so the true
+        # variance is 0; the expansion leaves rounding residue of the size
+        # of its terms, not a relative error
+        E = rng.standard_normal((2, 4))
+        Z, var_r, _ = self._tensor_terms(E)
+        got = reconcile._correlation_variance(Z)
+        scale = 2.0 * (Z * Z).T @ (Z * Z)
+        assert np.all(np.abs(got - var_r) <= 1e-12 * scale)
+        assert shrinkage_covariance(E).lam == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(DataError):
