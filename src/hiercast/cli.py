@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: synth | forecast | reconcile | nnd | evaluate | plot |
-fetch-italian.  Every config-file key can be overridden by a CLI flag of
-the same name (precedence: flag > file > default).  Exit codes: 0 success,
+fetch-italian.  Each subcommand's options are rows of ``COMMANDS``; a
+row's key ``out_dir`` is the flag ``--out-dir`` and the config-file key
+``out_dir`` (precedence: flag > file > default).  Exit codes: 0 success,
 2 config error, 3 data error, 4 numeric failure; failures print a
 machine-readable JSON object on stderr.
 """
@@ -39,7 +40,7 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
 
 
 # ---------------------------------------------------------------------------
-# Settings: flag > config file > default
+# Casts and settings: flag > config file > default
 # ---------------------------------------------------------------------------
 
 def _bool(token):
@@ -80,31 +81,29 @@ def load_config_file(path):
     return merged
 
 
-class Settings:
-    """Merges CLI flags (already typed by argparse) over config-file values
-    over defaults."""
+REQUIRED = object()   # the default of a setting that has none
 
-    def __init__(self, args):
-        self.flags = vars(args)
-        path = self.flags.get("config")
-        self.file = load_config_file(path) if path else {}
 
-    def get(self, key, default=None, cast=str):
-        flag = self.flags.get(key)
-        if flag is not None:
-            return flag
-        if key in self.file:
+def settings(args, rows):
+    """Each ``(key, cast, default)`` row's value: the flag, else the config
+    file, else the default.  Flag and file strings go through the same cast;
+    one that does not cast, or a REQUIRED one missing or empty, is a
+    ConfigError."""
+    flags = vars(args)
+    file = load_config_file(args.config) if args.config else {}
+    cfg = {}
+    for key, cast, default in rows:
+        raw = flags[key] if flags[key] is not None else file.get(key)
+        if raw is None:
+            cfg[key] = default
+        else:
             try:
-                return cast(self.file[key])
-            except (ValueError, TypeError) as exc:
+                cfg[key] = cast(raw)
+            except (ValueError, TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        return default
-
-    def require(self, key, cast=str):
-        value = self.get(key, None, cast)
-        if value is None:
+        if default is REQUIRED and (raw is None or not cfg[key]):
             raise ConfigError(f"missing required setting {key!r}")
-        return value
+    return cfg
 
 
 def _require_file(path, role):
@@ -113,21 +112,19 @@ def _require_file(path, role):
     return path
 
 
-def _load_inputs(cfg, need_exog=True):
-    hier = load_hierarchy(_require_file(cfg.require("hierarchy"), "hierarchy"))
-    exog_path = cfg.get("exog") if need_exog else None
-    if exog_path is not None:
-        _require_file(exog_path, "exogenous")
+def _load_inputs(cfg):
+    hier = load_hierarchy(_require_file(cfg["hierarchy"], "hierarchy"))
+    if cfg["exog"] is not None:
+        _require_file(cfg["exog"], "exogenous")
     panel = load_panel(
-        hier, _require_file(cfg.require("observations"), "observations"),
-        exog_path,
+        hier, _require_file(cfg["observations"], "observations"), cfg["exog"],
     )
     return hier, panel
 
 
 def _split_index(cfg, panel):
     """Training size from either an integer row count or a date string."""
-    raw = cfg.require("split")
+    raw = cfg["split"]
     try:
         n_train = int(raw)
     except (TypeError, ValueError):
@@ -162,26 +159,18 @@ def _node_exog(panel, node_id):
 # synth
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args):
-    cfg = Settings(args)
-    out = cfg.require("out")
+def cmd_synth(cfg):
     spec = GeneratorSpec(
-        children_per_level=cfg.get("children_per_level", (3, 4), _int_list),
-        T=cfg.get("t", 730, int),
-        m_season=cfg.get("m_season", 7, int),
-        base_level=cfg.get("base_level", 20.0, float),
-        seasonal_amplitude=cfg.get("seasonal_amplitude", 5.0, float),
-        trend=cfg.get("trend", 0.0, float),
-        noise_sigma=cfg.get("noise_sigma", 0.5, float),
-        regime=cfg.get("regime", "static"),
-        promo_prob=cfg.get("promo_prob", 0.2, float),
-        promo_lift=cfg.get("promo_lift", 2.0, float),
-        fixed_shares=cfg.get("fixed_shares", None, _float_list),
-        seed=cfg.get("seed", 0, int),
-        start=cfg.get("start", "2015-01-05"),
+        children_per_level=cfg["children_per_level"], T=cfg["t"],
+        m_season=cfg["m_season"], base_level=cfg["base_level"],
+        seasonal_amplitude=cfg["seasonal_amplitude"], trend=cfg["trend"],
+        noise_sigma=cfg["noise_sigma"], regime=cfg["regime"],
+        promo_prob=cfg["promo_prob"], promo_lift=cfg["promo_lift"],
+        fixed_shares=cfg["fixed_shares"], seed=cfg["seed"], start=cfg["start"],
     )
-    write_dataset(spec, out)
-    print(f"wrote synthetic dataset ({spec.regime} regime, seed {spec.seed}) to {out}")
+    write_dataset(spec, cfg["out"])
+    print(f"wrote synthetic dataset ({spec.regime} regime, seed {spec.seed}) "
+          f"to {cfg['out']}")
     return 0
 
 
@@ -204,25 +193,22 @@ def _resolve_nodes(hier, token):
 
 
 def _default_cv(cfg, n_train, h, m_season):
-    start = cfg.get("cv_start", max(2 * m_season + 1, n_train - 3 * h), int)
-    end = cfg.get("cv_end", n_train - h, int)
-    step = cfg.get("cv_step", h, int)
-    return CVConfig(starting_window=start, ending_window=end,
-                    horizon=h, step=step)
+    """The CV settings given, else the last three h-step folds."""
+    def given(key, fallback):
+        return fallback if cfg[key] is None else cfg[key]
+    return CVConfig(
+        starting_window=given("cv_start", max(2 * m_season + 1, n_train - 3 * h)),
+        ending_window=given("cv_end", n_train - h),
+        horizon=h, step=given("cv_step", h),
+    )
 
 
-def cmd_forecast(args):
-    cfg = Settings(args)
+def cmd_forecast(cfg):
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    h = cfg.get("horizon", 7, int)
-    m_season = cfg.get("m_season", 7, int)
-    seed = cfg.get("seed", 0, int)
-    nodes = _resolve_nodes(hier, cfg.get("nodes", "all"))
+    h, m_season, out = cfg["horizon"], cfg["m_season"], cfg["out"]
+    nodes = _resolve_nodes(hier, cfg["nodes"])
     cv = _default_cv(cfg, n_train, h, m_season)
-    include_narx = cfg.get("include_narx", True, _bool)
-    include_comb = cfg.get("include_combinations", True, _bool)
-    out = cfg.require("out")
 
     values = np.empty((h, len(nodes)))
     chosen = {}
@@ -232,9 +218,9 @@ def cmd_forecast(args):
         X = X_all if X_all.shape[1] else None
         cands = default_candidates(
             m_season,
-            narx_seed=derive_seed(seed, f"fstar:{node_id}"),
-            include_narx=include_narx,
-            include_combinations=include_comb,
+            narx_seed=derive_seed(cfg["seed"], f"fstar:{node_id}"),
+            include_narx=cfg["include_narx"],
+            include_combinations=cfg["include_combinations"],
         )
         fitted, kind, score = select_model(
             y, X[:n_train] if X is not None else None, cands, cv,
@@ -288,24 +274,22 @@ def _historical_subtree_proportions(panel, node_id):
     return means / total
 
 
-def cmd_reconcile(args):
-    cfg = Settings(args)
+def cmd_reconcile(cfg):
     hier, panel = _load_inputs(cfg)
     S = build_summing_matrix(hier)
-    fs = read_forecast_set(_require_file(cfg.require("base"), "base forecast"),
+    fs = read_forecast_set(_require_file(cfg["base"], "base forecast"),
                            kind="base")
     base = _base_matrix(fs, hier)
-    methods = [m.lower() for m in
-               cfg.get("methods", ["bu", "ahp", "pha", "fp"], _str_list)]
-    split = cfg.get("split", None)
-    hist = panel if split is None else panel.slice_rows(0, _split_index(cfg, panel))
-    out_dir = cfg.require("out_dir")
+    hist = (panel if cfg["split"] is None
+            else panel.slice_rows(0, _split_index(cfg, panel)))
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
     top = base[:, hier.index(hier.root_id)]
-    bottom_cols = [j for j, n in enumerate(hier.node_ids) if n in set(hier.bottom_ids)]
+    leaves = set(hier.bottom_ids)
+    bottom_cols = [j for j, n in enumerate(hier.node_ids) if n in leaves]
     outputs = {}
-    for method in methods:
+    for method in (m.lower() for m in cfg["methods"]):
         if method == "bu":
             outputs["bu"] = bottom_up(S, base[:, bottom_cols])
         elif method == "ahp":
@@ -318,17 +302,15 @@ def cmd_reconcile(args):
                 bottom[t] = top[t] * proportions_fp(base, hier, t)
             outputs["fp"] = bottom @ S.entries.T
         elif method == "mo":
-            level = cfg.get("middle_level", 1, int)
+            level = cfg["middle_level"]
             mids = hier.level_ids(level)
             mid_fc = np.column_stack([fs.column(n) for n in mids])
             props = {n: _historical_subtree_proportions(hist, n) for n in mids}
             outputs["mo"] = middle_out(hier, S, level, mid_fc, props)
         elif method == "mint":
-            errors_path = cfg.get("errors")
-            lam = cfg.get("shrinkage", None, float)
-            if errors_path is not None:
-                E = _load_error_matrix(_require_file(errors_path, "errors"), hier)
-                cov = shrinkage_covariance(E, lam)
+            if cfg["errors"] is not None:
+                E = _load_error_matrix(_require_file(cfg["errors"], "errors"), hier)
+                cov = shrinkage_covariance(E, cfg["shrinkage"])
             else:
                 cov = ErrorCovariance(W=np.eye(hier.M), lam=1.0)
             outputs["mint"] = mint_reconcile(S, base, cov)
@@ -358,39 +340,26 @@ def cmd_reconcile(args):
 
 def _nnd_config(cfg):
     train = neuralnet.TrainConfig(
-        alpha=cfg.get("alpha", 0.5, float),
-        learning_rate=cfg.get("lr", 0.001, float),
-        batch_size=cfg.get("batch", 32, int),
-        max_epochs=cfg.get("epochs", 500, int),
-        patience=cfg.get("patience", 20, int),
-        validation_fraction=cfg.get("val_fraction", 0.1, float),
+        alpha=cfg["alpha"], learning_rate=cfg["lr"],
+        batch_size=cfg["batch"], max_epochs=cfg["epochs"],
+        patience=cfg["patience"], validation_fraction=cfg["val_fraction"],
     )
     arch = ArchConfig(
-        hidden=cfg.get("hidden", 64, int),
-        n_dense=cfg.get("n_dense", 3, int),
-        filters=cfg.get("filters", 16, int),
-        n_conv=cfg.get("n_conv", 6, int),
-        kernel_size=cfg.get("kernel_size", 4, int),
-        grid=cfg.get("grid", False, _bool),
+        hidden=cfg["hidden"], n_dense=cfg["n_dense"], filters=cfg["filters"],
+        n_conv=cfg["n_conv"], kernel_size=cfg["kernel_size"], grid=cfg["grid"],
     )
     return NndConfig(
-        window=WindowConfig(w=cfg.get("window", 30, int),
-                            hop=cfg.get("hop", 1, int)),
-        train=train, arch=arch,
-        seed=cfg.get("seed", 0, int),
-        jobs=cfg.get("jobs", 1, int),
+        window=WindowConfig(w=cfg["window"], hop=cfg["hop"]),
+        train=train, arch=arch, seed=cfg["seed"], jobs=cfg["jobs"],
     )
 
 
-def cmd_nnd(args):
-    cfg = Settings(args)
+def cmd_nnd(cfg):
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    h = cfg.get("horizon", 7, int)
-    m_season = cfg.get("m_season", 7, int)
-    strategy = cfg.get("strategy", "nnd2").lower()
+    h, m_season, out_dir = cfg["horizon"], cfg["m_season"], cfg["out_dir"]
+    strategy = cfg["strategy"].lower()
     ncfg = _nnd_config(cfg)
-    out_dir = cfg.require("out_dir")
     os.makedirs(out_dir, exist_ok=True)
 
     if strategy == "nnd1":
@@ -398,8 +367,8 @@ def cmd_nnd(args):
     elif strategy == "nnd2":
         result = nnd_iterative_topdown(panel, n_train, h, ncfg, m_season=m_season)
     elif strategy in ("mo", "middle-out"):
-        level = cfg.get("middle_level", 1, int)
-        result = nnd_middle_out(panel, n_train, h, level, ncfg, m_season=m_season)
+        result = nnd_middle_out(panel, n_train, h, cfg["middle_level"], ncfg,
+                                m_season=m_season)
     else:
         raise ConfigError(
             f"unknown NND strategy {strategy!r} (choose nnd1, nnd2, or mo)"
@@ -431,20 +400,15 @@ def cmd_nnd(args):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def cmd_evaluate(args):
+def cmd_evaluate(cfg):
     from .evaluate import mase as _mase, smape as _smape
 
-    cfg = Settings(args)
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    metric = cfg.get("metric", "mase").lower()
+    metric = cfg["metric"].lower()
     if metric not in ("mase", "smape"):
         raise ConfigError(f"unknown metric {metric!r} (choose mase or smape)")
-    m_season = cfg.get("m_season", 7, int)
-    significance = cfg.get("significance", 0.05, float)
-    rank_tests = cfg.get("rank_tests", True, _bool)
-    out_dir = cfg.require("out_dir")
-    paths = cfg.require("forecasts", _str_list)
+    m_season, out_dir, paths = cfg["m_season"], cfg["out_dir"], cfg["forecasts"]
 
     sets = [read_forecast_set(_require_file(p, "forecast"), kind="coherent")
             for p in paths]
@@ -452,10 +416,12 @@ def cmd_evaluate(args):
     if len(set(methods)) != len(methods):
         raise ConfigError(f"duplicate method names across forecast files: {methods}")
 
-    h = sets[0].horizon
-    for fs in sets:
+    h = sets[0].horizon if cfg["horizon"] is None else cfg["horizon"]
+    for p, fs in zip(paths, sets):
         if fs.horizon != h:
-            raise ConfigError("forecast files cover different horizons")
+            raise ConfigError(
+                f"forecast file {p} covers {fs.horizon} steps, not the horizon {h}"
+            )
     if n_train + h > panel.T:
         raise DataError(
             f"need {h} held-out rows after the split, panel has {panel.T - n_train}"
@@ -480,8 +446,8 @@ def cmd_evaluate(args):
         report.series_scores[node_id] = scores
         report.series_levels[node_id] = hier.levels[idx]
 
-    if rank_tests:
-        report.run_rank_tests(significance)
+    if cfg["rank_tests"]:
+        report.run_rank_tests(cfg["significance"])
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
@@ -547,12 +513,11 @@ def _line_plot_svg(timestamps, series, width=720, height=300, margin=50):
     return "\n".join(parts) + "\n"
 
 
-def cmd_plot(args):
-    cfg = Settings(args)
+def cmd_plot(cfg):
     hier, panel = _load_inputs(cfg)
-    fs = read_forecast_set(_require_file(cfg.require("forecasts"), "forecast"))
-    nodes = _resolve_nodes(hier, cfg.require("nodes"))
-    out_dir = cfg.require("out_dir")
+    fs = read_forecast_set(_require_file(cfg["forecasts"], "forecast"))
+    nodes = _resolve_nodes(hier, cfg["nodes"])
+    out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
 
     # align the forecast window with the panel by timestamp
@@ -628,14 +593,12 @@ def _italian_to_panel(table):
                        exog=exog)
 
 
-def cmd_fetch_italian(args):
+def cmd_fetch_italian(cfg):
     from urllib.request import urlopen
 
     from .hierarchy import write_exog, write_hierarchy, write_observations
 
-    cfg = Settings(args)
-    out_dir = cfg.require("out")
-    url = cfg.get("url", ITALIAN_URL)
+    out_dir, url = cfg["out"], cfg["url"]
     os.makedirs(out_dir, exist_ok=True)
 
     with urlopen(url, timeout=60) as resp:
@@ -671,14 +634,71 @@ def cmd_fetch_italian(args):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Options: one (key, cast, default) row per option drives argparse, the
+# config file and the casts
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file (INI sections)")
+_INPUTS = [("hierarchy", str, REQUIRED), ("observations", str, REQUIRED),
+           ("exog", str, None)]
+_SPLIT = ("split", str, REQUIRED)
+_HORIZON = ("horizon", int, 7)
+_M_SEASON = ("m_season", int, 7)
+_SEED = ("seed", int, 0)
+_MIDDLE_LEVEL = ("middle_level", int, 1)
+_OUT = ("out", str, REQUIRED)
+_OUT_DIR = ("out_dir", str, REQUIRED)
+
+# subcommand -> (handler, help, rows)
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic dataset", [
+        _OUT, ("children_per_level", _int_list, (3, 4)), ("t", int, 730),
+        _M_SEASON, ("base_level", float, 20.0),
+        ("seasonal_amplitude", float, 5.0), ("trend", float, 0.0),
+        ("noise_sigma", float, 0.5), ("regime", str, "static"),
+        ("promo_prob", float, 0.2), ("promo_lift", float, 2.0),
+        ("fixed_shares", _float_list, None), _SEED,
+        ("start", str, "2015-01-05"),
+    ]),
+    "forecast": (cmd_forecast, "fit the selected base model per node", [
+        *_INPUTS, _SPLIT, ("nodes", str, "all"), _OUT, _HORIZON, _M_SEASON,
+        _SEED, ("cv_start", int, None), ("cv_end", int, None),
+        ("cv_step", int, None), ("include_narx", _bool, True),
+        ("include_combinations", _bool, True),
+    ]),
+    "reconcile": (cmd_reconcile, "reconcile base forecasts", [
+        *_INPUTS, ("base", str, REQUIRED), ("split", str, None),
+        ("errors", str, None), _OUT_DIR,
+        ("methods", _str_list, ("bu", "ahp", "pha", "fp")), _MIDDLE_LEVEL,
+        ("shrinkage", float, None),
+    ]),
+    "nnd": (cmd_nnd, "neural-network disaggregation end to end", [
+        *_INPUTS, _SPLIT, ("strategy", str, "nnd2"), _OUT_DIR, _HORIZON,
+        _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
+        ("alpha", float, 0.5), ("lr", float, 0.001), ("epochs", int, 500),
+        ("patience", int, 20), ("batch", int, 32),
+        ("val_fraction", float, 0.1), ("hidden", int, 64),
+        ("n_dense", int, 3), ("filters", int, 16), ("n_conv", int, 6),
+        ("kernel_size", int, 4), ("grid", _bool, False), _SEED,
+        ("jobs", int, 1),
+    ]),
+    "evaluate": (cmd_evaluate, "score forecast sets and rank methods", [
+        *_INPUTS, _SPLIT, ("metric", str, "mase"), _OUT_DIR,
+        ("forecasts", _str_list, REQUIRED), ("horizon", int, None), _M_SEASON,
+        ("significance", float, 0.05), ("rank_tests", _bool, True),
+    ]),
+    "plot": (cmd_plot, "true-vs-forecast SVG line plots", [
+        *_INPUTS, ("forecasts", str, REQUIRED), ("nodes", str, REQUIRED),
+        _OUT_DIR,
+    ]),
+    "fetch-italian": (cmd_fetch_italian,
+                      "download the public Italian grocery dataset "
+                      "(network use is opt-in)",
+                      [_OUT, ("url", str, ITALIAN_URL)]),
+}
 
 
 def build_parser():
+    """Every row is a plain string flag; ``settings`` casts it."""
     parser = argparse.ArgumentParser(
         prog="hiercast",
         description="Hierarchical forecasting: reconciliation and "
@@ -686,113 +706,23 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--children-per-level", dest="children_per_level", type=_int_list)
-    p.add_argument("--t", type=int)
-    p.add_argument("--m-season", dest="m_season", type=int)
-    p.add_argument("--base-level", dest="base_level", type=float)
-    p.add_argument("--seasonal-amplitude", dest="seasonal_amplitude", type=float)
-    p.add_argument("--trend", type=float)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    p.add_argument("--regime", choices=["static", "switching"])
-    p.add_argument("--promo-prob", dest="promo_prob", type=float)
-    p.add_argument("--promo-lift", dest="promo_lift", type=float)
-    p.add_argument("--fixed-shares", dest="fixed_shares", type=_float_list)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--start")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("forecast", help="fit the selected base model per node")
-    _add_common(p)
-    for flag in ("hierarchy", "observations", "exog", "split", "nodes", "out"):
-        p.add_argument(f"--{flag}")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--m-season", dest="m_season", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cv-start", dest="cv_start", type=int)
-    p.add_argument("--cv-end", dest="cv_end", type=int)
-    p.add_argument("--cv-step", dest="cv_step", type=int)
-    p.add_argument("--include-narx", dest="include_narx", type=_bool)
-    p.add_argument("--include-combinations", dest="include_combinations", type=_bool)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("reconcile", help="reconcile base forecasts")
-    _add_common(p)
-    for flag in ("hierarchy", "observations", "exog", "base", "split",
-                 "errors", "out_dir"):
-        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
-    p.add_argument("--methods", type=_str_list)
-    p.add_argument("--middle-level", dest="middle_level", type=int)
-    p.add_argument("--shrinkage", type=float)
-    p.set_defaults(func=cmd_reconcile)
-
-    p = sub.add_parser("nnd", help="neural-network disaggregation end to end")
-    _add_common(p)
-    for flag in ("hierarchy", "observations", "exog", "split", "strategy",
-                 "out_dir"):
-        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--m-season", dest="m_season", type=int)
-    p.add_argument("--middle-level", dest="middle_level", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--hop", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--n-dense", dest="n_dense", type=int)
-    p.add_argument("--filters", type=int)
-    p.add_argument("--n-conv", dest="n_conv", type=int)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int)
-    p.add_argument("--grid", type=_bool)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.set_defaults(func=cmd_nnd)
-
-    p = sub.add_parser("evaluate", help="score forecast sets and rank methods")
-    _add_common(p)
-    for flag in ("hierarchy", "observations", "exog", "split", "metric",
-                 "out_dir"):
-        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
-    p.add_argument("--forecasts", type=_str_list)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--m-season", dest="m_season", type=int)
-    p.add_argument("--significance", type=float)
-    p.add_argument("--rank-tests", dest="rank_tests", type=_bool)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("plot", help="true-vs-forecast SVG line plots")
-    _add_common(p)
-    for flag in ("hierarchy", "observations", "exog", "forecasts", "nodes",
-                 "out_dir"):
-        p.add_argument(f"--{flag.replace('_', '-')}", dest=flag)
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("fetch-italian",
-                       help="download the public Italian grocery dataset "
-                            "(network use is opt-in)")
-    _add_common(p)
-    p.add_argument("--out")
-    p.add_argument("--url")
-    p.set_defaults(func=cmd_fetch_italian)
-
+    for name, (_, help_text, rows) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value config file (INI sections)")
+        for key, _, _ in rows:
+            p.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_help()
         return 2
+    handler, _, rows = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(settings(args, rows))
     except HiercastError as exc:
         code = 2
         for cls, c in EXIT_CODES.items():

@@ -7,6 +7,7 @@ by level, then lexicographic node id.
 import csv
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -87,10 +88,22 @@ class Hierarchy:
             counts[lv] += 1
         return counts
 
+    @cached_property
+    def _row_of(self):
+        return {n: i for i, n in enumerate(self.node_ids)}
+
+    @cached_property
+    def _children_of(self):
+        """node id -> its children in canonical order."""
+        kids = {}
+        for n, p in zip(self.node_ids, self.parent_ids):
+            kids.setdefault(p, []).append(n)
+        return kids
+
     def index(self, node_id):
         try:
-            return self.node_ids.index(node_id)
-        except ValueError:
+            return self._row_of[node_id]
+        except KeyError:
             raise DataError(f"unknown node id {node_id!r}") from None
 
     def level_ids(self, level):
@@ -108,7 +121,7 @@ class Hierarchy:
         return self.parent_ids[self.index(node_id)]
 
     def children(self, node_id):
-        return [n for n, p in zip(self.node_ids, self.parent_ids) if p == node_id]
+        return list(self._children_of.get(node_id, ()))
 
     def descendants_at_bottom(self, node_id):
         lv = self.levels[self.index(node_id)]

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
-from hiercast.cli import main
+from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
 
 
@@ -44,9 +46,13 @@ class TestSynth:
         for name in ("hierarchy.csv", "observations.csv", "exog.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_bad_regime_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            main(["synth", "--out", "x", "--regime", "chaotic"])
+    def test_bad_regime_rejected_by_parser(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--regime", "chaotic"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "chaotic" in err["message"]
+        assert not out.exists()
 
     def test_missing_out_is_config_error(self, capsys):
         assert main(["synth"]) == 2
@@ -317,6 +323,23 @@ class TestEvaluate:
         doc = json.loads((out_dir / "report.json").read_text())
         assert "friedman" not in doc
 
+    def test_horizon_mismatch_is_config_error(self, dataset, tmp_path, capsys):
+        rec = self._reconciled(dataset, tmp_path)
+        code = main([
+            "evaluate",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--horizon", "5",
+            "--forecasts", str(rec / "bu.csv"), "--rank-tests", "false",
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(rec / "bu.csv") in err["message"]
+        assert "covers 7 steps" in err["message"]
+        assert "horizon 5" in err["message"]
+
 
 class TestNndCommand:
     def test_nnd2_pipeline(self, dataset, tmp_path):
@@ -366,6 +389,71 @@ class TestPlot:
             svg = (out_dir / f"plot_{node}.svg").read_text()
             assert svg.startswith("<svg")
             assert "</svg>" in svg
+
+
+# one case per cast kind; the other settings are given but never read,
+# because every value is cast before any file is opened (the tests run in
+# tmp_path all the same)
+BAD_VALUES = [
+    ("forecast", "include_narx", "maybe"),         # _bool
+    ("forecast", "horizon", "abc"),                # int
+    ("nnd", "alpha", "x"),                         # float
+    ("synth", "children_per_level", "a,b"),        # _int_list
+]
+REQUIRED_ARGS = {
+    "forecast": ["--hierarchy", "h.csv", "--observations", "o.csv",
+                 "--split", "10", "--out", "o.csv"],
+    "nnd": ["--hierarchy", "h.csv", "--observations", "o.csv",
+            "--split", "10", "--out-dir", "nnd"],
+    "synth": ["--out", "data"],
+}
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("command,key,value", BAD_VALUES)
+    def test_bad_value_is_json_config_error(self, tmp_path, monkeypatch,
+                                            capsys, source, command, key,
+                                            value):
+        monkeypatch.chdir(tmp_path)
+        argv = [command] + REQUIRED_ARGS[command]
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[{command}]\n{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error", "message", "exit_code"}
+        assert err["error"] == "ConfigError" and err["exit_code"] == 2
+        assert key in err["message"]
+
+    def test_empty_required_value_is_missing(self, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--hierarchy", "h.csv", "--observations",
+                     "o.csv", "--split", "10", "--out-dir", "ev",
+                     "--forecasts", ""]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "missing required setting 'forecasts'"
+
+
+def _readme_commands():
+    """argv of each ``hiercast ...`` command in README's usage block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command-line usage", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("hiercast ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 class TestConfigPrecedence:

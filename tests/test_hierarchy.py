@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hiercast import (DataError, Hierarchy, SeriesPanel, aggregate,
                       build_summing_matrix, calendar_matrix,
@@ -83,6 +85,49 @@ class TestSummingMatrix:
             Hierarchy.from_nodes(
                 [("total", None, 0), ("dup", "total", 1), ("dup", "total", 1)]
             )
+
+
+@st.composite
+def uneven_trees(draw):
+    """2-4 levels, 1-4 children per interior node; ids are drawn so that
+    canonical order is not the order of creation."""
+    nodes, frontier = [(None, 0)], [0]
+    for level in range(1, draw(st.integers(1, 3)) + 1):
+        nxt = []
+        for parent in frontier:
+            for _ in range(draw(st.integers(1, 4))):
+                nxt.append(len(nodes))
+                nodes.append((parent, level))
+        frontier = nxt
+    names = draw(st.permutations([f"n{i:03d}" for i in range(len(nodes))]))
+    return Hierarchy.from_nodes(
+        (names[i], None if p is None else names[p], lv)
+        for i, (p, lv) in enumerate(nodes)
+    )
+
+
+class TestLookups:
+    """The cached lookups against their linear-scan definitions."""
+
+    @staticmethod
+    def scan_children(h, node_id):
+        return [n for n, p in zip(h.node_ids, h.parent_ids) if p == node_id]
+
+    def scan_descendants_at_bottom(self, h, node_id):
+        front = [node_id]
+        for _ in range(h.K - 1 - h.levels[h.node_ids.index(node_id)]):
+            front = [c for n in front for c in self.scan_children(h, n)]
+        return front
+
+    @given(uneven_trees())
+    def test_match_scans(self, h):
+        for node_id in h.node_ids:
+            assert h.index(node_id) == h.node_ids.index(node_id)
+            assert h.children(node_id) == self.scan_children(h, node_id)
+            assert (h.descendants_at_bottom(node_id)
+                    == self.scan_descendants_at_bottom(h, node_id))
+        with pytest.raises(DataError, match="unknown node id 'ghost'"):
+            h.index("ghost")
 
 
 class TestAggregate:
