@@ -25,8 +25,8 @@ from .hierarchy import (build_summing_matrix, coherence_violation,
                         format_timestamp, load_hierarchy, load_panel,
                         pivot_long, read_long_csv, timestamps_are_dates,
                         _parse_ts)
-from .nnd import (ArchConfig, NndConfig, WindowConfig, nnd_iterative_topdown,
-                  nnd_middle_out, nnd_standard_topdown)
+from .nnd import (ArchConfig, NndConfig, WindowConfig, feature_matrix,
+                  nnd_iterative_topdown, nnd_middle_out, nnd_standard_topdown)
 from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
                         middle_out, mint_reconcile, proportions_ahp,
                         proportions_fp, proportions_pha,
@@ -63,7 +63,10 @@ def _float_list(token):
 
 
 def _str_list(token):
-    return [x.strip() for x in str(token).split(",") if x.strip()]
+    items = [x.strip() for x in str(token).split(",") if x.strip()]
+    if not items:
+        raise ConfigError(f"{token!r} lists no names")
+    return items
 
 
 def load_config_file(path):
@@ -94,6 +97,8 @@ def settings(args, rows):
     cfg = {}
     for key, cast, default in rows:
         raw = flags[key] if flags[key] is not None else file.get(key)
+        if default is REQUIRED and not raw:
+            raise ConfigError(f"missing required setting {key!r}")
         if raw is None:
             cfg[key] = default
         else:
@@ -101,8 +106,6 @@ def settings(args, rows):
                 cfg[key] = cast(raw)
             except (ValueError, TypeError, ConfigError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
-        if default is REQUIRED and (raw is None or not cfg[key]):
-            raise ConfigError(f"missing required setting {key!r}")
     return cfg
 
 
@@ -147,14 +150,6 @@ def _future_timestamps(panel, n_train, h):
     return last + spacing * np.arange(1, h + 1)
 
 
-def _node_exog(panel, node_id):
-    """Node exog columns plus calendar dummies as one regressor matrix."""
-    names, mat = panel.exog_for(node_id)
-    cal_names, cal = panel.calendar_features()
-    X = np.column_stack([mat, cal]) if (mat.shape[1] or cal.shape[1]) else mat
-    return list(names) + cal_names, X
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -186,21 +181,13 @@ def _resolve_nodes(hier, token):
         if not 0 <= level <= hier.K - 1:
             raise ConfigError(f"no level {level} in a {hier.K}-level hierarchy")
         return hier.level_ids(level)
-    nodes = _str_list(token)
+    try:
+        nodes = _str_list(token)
+    except ConfigError as exc:
+        raise ConfigError(f"bad value for 'nodes': {exc}") from None
     for n in nodes:
         hier.index(n)
     return nodes
-
-
-def _default_cv(cfg, n_train, h, m_season):
-    """The CV settings given, else the last three h-step folds."""
-    def given(key, fallback):
-        return fallback if cfg[key] is None else cfg[key]
-    return CVConfig(
-        starting_window=given("cv_start", max(2 * m_season + 1, n_train - 3 * h)),
-        ending_window=given("cv_end", n_train - h),
-        horizon=h, step=given("cv_step", h),
-    )
 
 
 def cmd_forecast(cfg):
@@ -208,13 +195,14 @@ def cmd_forecast(cfg):
     n_train = _split_index(cfg, panel)
     h, m_season, out = cfg["horizon"], cfg["m_season"], cfg["out"]
     nodes = _resolve_nodes(hier, cfg["nodes"])
-    cv = _default_cv(cfg, n_train, h, m_season)
+    cv = CVConfig.last_folds(n_train, h, m_season, start=cfg["cv_start"],
+                             end=cfg["cv_end"], step=cfg["cv_step"])
 
     values = np.empty((h, len(nodes)))
     chosen = {}
     for j, node_id in enumerate(nodes):
         y = panel.series(node_id)[:n_train]
-        _, X_all = _node_exog(panel, node_id)
+        _, X_all = feature_matrix(panel, [node_id])
         X = X_all if X_all.shape[1] else None
         cands = default_candidates(
             m_season,

@@ -60,6 +60,17 @@ class CVConfig:
         if self.ending_window < self.starting_window:
             raise ConfigError("ending_window must be >= starting_window")
 
+    @classmethod
+    def last_folds(cls, n_train, h, m_season, start=None, end=None, step=None):
+        """The folds given, else the last three h-step folds of n_train
+        rows, none with fewer than two seasons plus one row of training."""
+        return cls(
+            starting_window=(max(2 * m_season + 1, n_train - 3 * h)
+                             if start is None else start),
+            ending_window=n_train - h if end is None else end,
+            horizon=h, step=h if step is None else step,
+        )
+
     def fold_sizes(self, series_length):
         """Training sizes of all folds with a full test window available."""
         sizes = []

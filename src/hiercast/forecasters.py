@@ -81,7 +81,9 @@ class Arx:
     """Autoregression with optional exogenous regressors, fit by least
     squares.  Lag order is chosen by AIC over 1..max_p when not given;
     first differencing is applied when the lag-1 autocorrelation exceeds
-    0.95 (unless d is fixed).  Multi-step forecasts are recursive."""
+    0.95 (unless d is fixed).  Regressors constant over the fit window (a
+    month dummy of a month it does not contain) are dropped, for the
+    forecast too.  Multi-step forecasts are recursive."""
 
     kind = "arx"
 
@@ -158,6 +160,9 @@ class Arx:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] != n:
             raise DataError(f"exog rows {X.shape[0]} != series length {n}")
+        # a constant column duplicates the intercept: rank-deficient at every order
+        self.x_keep_ = np.ptp(X, axis=0) > 0
+        X = X[:, self.x_keep_]
         return X if X.shape[1] else None
 
     def _ls_fit(self, z, Xz, p):
@@ -184,15 +189,15 @@ class Arx:
             return self.y_last_ + self.drift_ * np.arange(1, h + 1)
         has_exog = self.use_exog and (len(self.coef_) > 1 + self.p_)
         if has_exog:
-            n_x = len(self.coef_) - 1 - self.p_
             if X_future is None:
                 raise DataError("ARX fitted with exog needs future exog values")
             X_future = np.atleast_2d(np.asarray(X_future, dtype=float))
-            if X_future.shape[0] < h or X_future.shape[1] != n_x:
+            if X_future.shape[0] < h or X_future.shape[1] != len(self.x_keep_):
                 raise DataError(
                     f"future exog shape {X_future.shape} incompatible with "
-                    f"horizon {h} and {n_x} regressors"
+                    f"horizon {h} and {len(self.x_keep_)} regressors"
                 )
+            X_future = X_future[:, self.x_keep_]
         lags = list(self.z_tail_)
         out = np.empty(h)
         level = self.y_last_

@@ -7,7 +7,9 @@ summed outputs and the summed targets.
 """
 
 import copy
+import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -46,6 +48,9 @@ class NetworkSpec:
             raise ConfigError("mlp widths must be >= 1")
         if self.has_cnn and (self.kernel_size < 1 or any(f < 1 for f in self.conv_filters)):
             raise ConfigError("conv filters and kernel size must be >= 1")
+        # a model file's JSON header gives lists
+        object.__setattr__(self, "mlp_widths", tuple(self.mlp_widths))
+        object.__setattr__(self, "conv_filters", tuple(self.conv_filters))
 
     @property
     def has_mlp(self):
@@ -54,15 +59,6 @@ class NetworkSpec:
     @property
     def has_cnn(self):
         return self.window > 0 and len(self.conv_filters) > 0
-
-    @property
-    def feature_dim(self):
-        dim = 0
-        if self.has_mlp:
-            dim += self.mlp_widths[-1]
-        if self.has_cnn:
-            dim += self.window * self.conv_filters[-1]
-        return dim
 
 
 @dataclass
@@ -93,21 +89,21 @@ class Scaler:
     win_mean: float = 0.0
     win_std: float = 1.0
 
+    def __post_init__(self):
+        self.exog_mean = np.asarray(self.exog_mean, dtype=float)
+        self.exog_std = np.asarray(self.exog_std, dtype=float)
+
     @classmethod
     def fit(cls, exog, window):
-        if exog.shape[1]:
-            mu = exog.mean(axis=0)
-            sd = exog.std(axis=0)
-            sd = np.where(sd > 0, sd, 1.0)
-        else:
-            mu = np.zeros(0)
-            sd = np.ones(0)
+        # zero exog columns give empty statistics; an empty window has none
+        sd = exog.std(axis=0)
         if window.shape[1]:
             wmu = float(window.mean())
             wsd = float(window.std()) or 1.0
         else:
             wmu, wsd = 0.0, 1.0
-        return cls(exog_mean=mu, exog_std=sd, win_mean=wmu, win_std=wsd)
+        return cls(exog_mean=exog.mean(axis=0), exog_std=np.where(sd > 0, sd, 1.0),
+                   win_mean=wmu, win_std=wsd)
 
     def transform(self, exog, window):
         ex = (exog - self.exog_mean) / self.exog_std if exog.shape[1] else exog
@@ -124,67 +120,81 @@ class TrainedNetwork:
     best_epoch: int = 0
 
 
-def init_params(spec: NetworkSpec, rng) -> list:
-    """He-uniform for ReLU layers, Glorot-uniform for the linear head."""
-    params = []
+def _shapes(spec: NetworkSpec) -> list:
+    """Weight shapes in parameter order: MLP layers, then conv layers, then
+    the head; each layer's weight, then its bias."""
+    shapes, feature_dim = [], 0
     if spec.has_mlp:
         fan_in = spec.exog_dim
         for width in spec.mlp_widths:
-            lim = np.sqrt(6.0 / fan_in)
-            params.append(rng.uniform(-lim, lim, size=(fan_in, width)))
-            params.append(np.zeros(width))
+            shapes += [(fan_in, width), (width,)]
             fan_in = width
+        feature_dim += fan_in
     if spec.has_cnn:
         c_in = 1
         for f in spec.conv_filters:
-            lim = np.sqrt(6.0 / (spec.kernel_size * c_in))
-            params.append(rng.uniform(-lim, lim, size=(spec.kernel_size, c_in, f)))
-            params.append(np.zeros(f))
+            shapes += [(spec.kernel_size, c_in, f), (f,)]
             c_in = f
-    lim = np.sqrt(6.0 / (spec.feature_dim + spec.out_dim))
-    params.append(rng.uniform(-lim, lim, size=(spec.feature_dim, spec.out_dim)))
-    params.append(np.zeros(spec.out_dim))
+        feature_dim += spec.window * c_in
+    return shapes + [(feature_dim, spec.out_dim), (spec.out_dim,)]
+
+
+def init_params(spec: NetworkSpec, rng) -> list:
+    """He-uniform for ReLU layers, Glorot-uniform for the linear head."""
+    shapes = _shapes(spec)
+    params = []
+    for w_shape, b_shape in zip(shapes[0::2], shapes[1::2]):
+        fans = math.prod(w_shape[:-1])
+        if len(params) == len(shapes) - 2:     # the head: fan-in + fan-out
+            fans += w_shape[-1]
+        lim = np.sqrt(6.0 / fans)
+        params += [rng.uniform(-lim, lim, size=w_shape), np.zeros(b_shape)]
     return params
 
 
+def _dense(x, W, b):
+    """Dense layer with the signature of ``kernels.conv1d_same``."""
+    return x @ W + b
+
+
+def _dense_grad(x, W, gout):
+    """Gradients (gx, gW, gb) of ``_dense``, like ``kernels.conv1d_same_grad``."""
+    return gout @ W.T, x.T @ gout, gout.sum(axis=0)
+
+
+def _branches(spec, exog, window):
+    """(input, layer, layer gradient, depth) of each active branch, in
+    parameter order.  The conv functions are looked up on every call, so a
+    rebound ``kernels`` attribute (a tracer's wrapper) is the one used."""
+    branches = []
+    if spec.has_mlp:
+        branches.append((exog, _dense, _dense_grad, len(spec.mlp_widths)))
+    if spec.has_cnn:
+        branches.append((window[:, :, None], kernels.conv1d_same,
+                         kernels.conv1d_same_grad, len(spec.conv_filters)))
+    return branches
+
+
 def _forward_cache(spec, params, exog, window, keep=True):
-    """Forward pass.  With ``keep`` it also returns the per-layer inputs and
-    pre-activations that ``backward`` needs; without, the cache is None and
-    no layer's arrays outlive the next layer (loss-only passes)."""
-    B = exog.shape[0] if spec.has_mlp else window.shape[0]
-    idx = 0
-    mlp_inputs, mlp_pre = [], []
-    a = exog
-    if spec.has_mlp:
-        for _ in spec.mlp_widths:
-            W, b = params[idx], params[idx + 1]
-            idx += 2
-            z = a @ W + b
+    """Forward pass.  With ``keep`` it also returns, per branch, the layer
+    gradient, every layer's (input, weight, pre-activation) and the output
+    shape that ``backward`` needs; without, the cache is None and no layer's
+    arrays outlive the next layer (loss-only passes)."""
+    layers = iter(zip(params[0::2], params[1::2]))
+    parts, cache = [], []
+    for x, layer, layer_grad, depth in _branches(spec, exog, window):
+        record = []
+        for _ in range(depth):
+            W, b = next(layers)
+            z = layer(x, W, b)
             if keep:
-                mlp_inputs.append(a)
-                mlp_pre.append(z)
-            a = np.maximum(z, 0.0)
-    cnn_inputs, cnn_pre = [], []
-    x = window[:, :, None] if spec.has_cnn else None
-    if spec.has_cnn:
-        for _ in spec.conv_filters:
-            K, b = params[idx], params[idx + 1]
-            idx += 2
-            z = kernels.conv1d_same(x, K, b)
-            if keep:
-                cnn_inputs.append(x)
-                cnn_pre.append(z)
+                record.append((x, W, z))
             x = np.maximum(z, 0.0)
-    parts = []
-    if spec.has_mlp:
-        parts.append(a)
-    if spec.has_cnn:
-        parts.append(x.reshape(B, -1))
+        parts.append(x.reshape(len(x), math.prod(x.shape[1:])))
+        cache.append((layer_grad, record, x.shape))
     feats = np.concatenate(parts, axis=1)
-    Wh, bh = params[idx], params[idx + 1]
-    out = feats @ Wh + bh
-    cache = (mlp_inputs, mlp_pre, cnn_inputs, cnn_pre, feats) if keep else None
-    return out, cache
+    out = _dense(feats, *next(layers))
+    return out, ((feats, cache) if keep else None)
 
 
 def forward(spec, params, exog, window):
@@ -200,37 +210,19 @@ def forward(spec, params, exog, window):
 
 
 def backward(spec, params, cache, gout):
-    """Gradients w.r.t. every weight array given dLoss/dOutput."""
-    mlp_inputs, mlp_pre, cnn_inputs, cnn_pre, feats = cache
-    grads = [None] * len(params)
-    hi = len(params) - 2
-    Wh = params[hi]
-    grads[hi] = feats.T @ gout
-    grads[hi + 1] = gout.sum(axis=0)
-    gfeats = gout @ Wh.T
-
-    off = 0
-    if spec.has_mlp:
-        ga = gfeats[:, :spec.mlp_widths[-1]]
-        off = spec.mlp_widths[-1]
-        base = 0
-        for j in range(len(spec.mlp_widths) - 1, -1, -1):
-            gz = ga * (mlp_pre[j] > 0)
-            W = params[base + 2 * j]
-            grads[base + 2 * j] = mlp_inputs[j].T @ gz
-            grads[base + 2 * j + 1] = gz.sum(axis=0)
-            ga = gz @ W.T
-    if spec.has_cnn:
-        B = feats.shape[0]
-        gx = gfeats[:, off:].reshape(B, spec.window, spec.conv_filters[-1])
-        base = 2 * len(spec.mlp_widths) if spec.has_mlp else 0
-        for j in range(len(spec.conv_filters) - 1, -1, -1):
-            gz = gx * (cnn_pre[j] > 0)
-            K = params[base + 2 * j]
-            gx, gk, gb = kernels.conv1d_same_grad(cnn_inputs[j], K, gz)
-            grads[base + 2 * j] = gk
-            grads[base + 2 * j + 1] = gb
-    return grads
+    """Gradients w.r.t. every weight array given dLoss/dOutput: the forward
+    loop in reverse, collected back to front."""
+    feats, branches = cache
+    gfeats, gW, gb = _dense_grad(feats, params[-2], gout)
+    grads = [gb, gW]
+    for layer_grad, record, shape in branches[::-1]:
+        # the last branch's features are the last columns
+        width = math.prod(shape[1:])
+        g, gfeats = gfeats[:, -width:].reshape(shape), gfeats[:, :-width]
+        for x, W, z in record[::-1]:
+            g, gW, gb = layer_grad(x, W, g * (z > 0))
+            grads += [gb, gW]
+    return grads[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +373,11 @@ def spec_grid(out_dim, exog_dim, window, filters_grid=(16, 32, 64),
               kernel_grid=(4, 8, 16), hidden_grid=(64, 128, 256),
               n_conv=6, n_dense=3):
     """All (filters, kernel, hidden) combinations, lexicographic order."""
-    specs = []
-    for f in sorted(filters_grid):
-        for k in sorted(kernel_grid):
-            for hid in sorted(hidden_grid):
-                specs.append(NetworkSpec(
-                    out_dim=out_dim, exog_dim=exog_dim, window=window,
-                    mlp_widths=(hid,) * n_dense,
-                    conv_filters=(f,) * n_conv, kernel_size=k,
-                ))
-    return specs
+    return [NetworkSpec(out_dim=out_dim, exog_dim=exog_dim, window=window,
+                        mlp_widths=(hid,) * n_dense,
+                        conv_filters=(f,) * n_conv, kernel_size=k)
+            for f, k, hid in itertools.product(
+                sorted(filters_grid), sorted(kernel_grid), sorted(hidden_grid))]
 
 
 def grid_search(specs, dataset, config, trainer=train):
@@ -423,25 +410,14 @@ def grid_search(specs, dataset, config, trainer=train):
 
 def save_network(net: TrainedNetwork, path):
     header = {
-        "spec": {
-            "out_dim": net.spec.out_dim,
-            "exog_dim": net.spec.exog_dim,
-            "window": net.spec.window,
-            "mlp_widths": list(net.spec.mlp_widths),
-            "conv_filters": list(net.spec.conv_filters),
-            "kernel_size": net.spec.kernel_size,
-        },
-        "scaler": {
-            "exog_mean": net.scaler.exog_mean.tolist(),
-            "exog_std": net.scaler.exog_std.tolist(),
-            "win_mean": net.scaler.win_mean,
-            "win_std": net.scaler.win_std,
-        },
+        "spec": asdict(net.spec),
+        "scaler": asdict(net.scaler),
         "history": [[float(a), float(b)] for a, b in net.history],
         "best_epoch": net.best_epoch,
         "shapes": [list(p.shape) for p in net.params],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                      default=np.ndarray.tolist).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(len(blob).to_bytes(8, "little"))
@@ -451,33 +427,29 @@ def save_network(net: TrainedNetwork, path):
 
 
 def load_network(path) -> TrainedNetwork:
+    """Read a ``save_network`` file.  A header that does not parse or whose
+    shapes are not its spec's, or a payload of the wrong length, is a
+    ConfigError naming the path."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ConfigError(f"{path}: not a network weight file")
         n = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(n).decode())
-        params = []
-        for shape in header["shapes"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            params.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    spec = NetworkSpec(
-        out_dim=header["spec"]["out_dim"],
-        exog_dim=header["spec"]["exog_dim"],
-        window=header["spec"]["window"],
-        mlp_widths=tuple(header["spec"]["mlp_widths"]),
-        conv_filters=tuple(header["spec"]["conv_filters"]),
-        kernel_size=header["spec"]["kernel_size"],
-    )
-    scaler = Scaler(
-        exog_mean=np.asarray(header["scaler"]["exog_mean"], dtype=float),
-        exog_std=np.asarray(header["scaler"]["exog_std"], dtype=float),
-        win_mean=header["scaler"]["win_mean"],
-        win_std=header["scaler"]["win_std"],
-    )
+        try:
+            header = json.loads(fh.read(n).decode())
+            spec, scaler = NetworkSpec(**header["spec"]), Scaler(**header["scaler"])
+            history = [tuple(h) for h in header["history"]]
+            best_epoch = header["best_epoch"]
+        except (ValueError, KeyError, TypeError, ConfigError) as exc:
+            raise ConfigError(f"{path}: bad network header ({exc})") from None
+        shapes = _shapes(spec)
+        if header.get("shapes") != [list(s) for s in shapes]:
+            raise ConfigError(f"{path}: header shapes do not match its spec {shapes}")
+        payload = fh.read()
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    if len(payload) != 8 * ends[-1]:
+        raise ConfigError(f"{path}: {len(payload)} bytes of weights, spec needs {8 * ends[-1]}")
+    parts = np.split(np.frombuffer(payload, dtype="<f8"), ends[:-1])
     return TrainedNetwork(
-        spec=spec, params=params, scaler=scaler,
-        history=[tuple(h) for h in header["history"]],
-        best_epoch=header["best_epoch"],
+        spec=spec, params=[a.reshape(s).copy() for a, s in zip(parts, shapes)],
+        scaler=scaler, history=history, best_epoch=best_epoch,
     )

@@ -55,7 +55,6 @@ class NndConfig:
     arch: ArchConfig = field(default_factory=ArchConfig)
     seed: int = 0
     jobs: int = 1
-    cv: CVConfig | None = None       # for internal F* selection
 
 
 @dataclass
@@ -184,18 +183,12 @@ def raw_violation(child_forecasts, parent_forecast):
 # Hierarchy-wide strategies
 # ---------------------------------------------------------------------------
 
-def _default_root_candidates(m_season, seed):
-    return [Naive(), SeasonalNaive(m_season), Ets("hw", m_season)]
-
-
-def _root_forecast(panel, node_id, n_train, h, cfg, m_season):
+def _root_forecast(panel, node_id, n_train, h, m_season):
     y = panel.series(node_id)[:n_train]
-    cv = cfg.cv or CVConfig(
-        starting_window=max(2 * m_season + 1, n_train - 3 * h),
-        ending_window=n_train - h, horizon=h, step=h,
-    )
-    cands = _default_root_candidates(m_season, cfg.seed)
-    fitted, _, _ = select_model(y, None, cands, cv, m_season=m_season)
+    cands = [Naive(), SeasonalNaive(m_season), Ets("hw", m_season)]
+    fitted, _, _ = select_model(y, None, cands,
+                                CVConfig.last_folds(n_train, h, m_season),
+                                m_season=m_season)
     return fitted.forecast(h)
 
 
@@ -246,7 +239,7 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
     forecasts = {}
     for node_id, fc in start_forecasts.items():
         if fc is None:
-            fc = _root_forecast(panel, node_id, n_train, h, cfg, m_season)
+            fc = _root_forecast(panel, node_id, n_train, h, m_season)
         forecasts[node_id] = np.asarray(fc, dtype=float)
     models = _train_models(panel, pairs, cfg, n_train)
     violations = {}

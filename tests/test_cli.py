@@ -409,6 +409,27 @@ REQUIRED_ARGS = {
 }
 
 
+@pytest.mark.parametrize("command,key", [("forecast", "nodes"),
+                                         ("reconcile", "methods")])
+def test_empty_name_list_is_config_error(dataset, tmp_path, capsys, command,
+                                         key):
+    argv = [command,
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--" + key, ","]
+    if command == "forecast":
+        argv += ["--out", str(tmp_path / "out" / "base.csv")]
+    else:
+        assert run_forecast(dataset, tmp_path / "base.csv") == 0
+        argv += ["--base", str(tmp_path / "base.csv"),
+                 "--out-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 class TestBadValues:
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("command,key,value", BAD_VALUES)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hiercast import (Arx, CombCls, CombMean, ConfigError, CVConfig, Ets,
-                      Naive, Narx, SeasonalNaive, cls_weights, combine_mean,
-                      project_simplex, select_model)
+                      Naive, Narx, SeasonalNaive, calendar_matrix, cls_weights,
+                      combine_mean, expanding_window_cv, project_simplex,
+                      select_model)
 from hiercast import kernels
 from hiercast.errors import DataError, NumericError
 
@@ -50,6 +51,16 @@ class TestArx:
         y = np.sin(2 * np.pi * np.arange(60) / 7) + 5.0
         with pytest.raises(NumericError, match="rank"):
             Arx(p=3, d=0).fit(y)
+
+    def test_scores_on_windows_shorter_than_a_year(self, rng):
+        # 100 days from January: most month dummies are all-zero columns
+        ts = np.datetime64("2015-01-05") + np.arange(100)
+        _, X = calendar_matrix(ts)
+        y = 20.0 + 5.0 * np.sin(2 * np.pi * np.arange(100) / 7) \
+            + rng.standard_normal(100)
+        cv = CVConfig(starting_window=79, ending_window=93, horizon=7, step=7)
+        score, folds = expanding_window_cv(y, X, Arx, cv, m_season=7)
+        assert np.isfinite(score) and len(folds) == 3
 
     def test_differencing_heuristic_fires_on_trend(self):
         y = np.arange(100, dtype=float) + 1000.0

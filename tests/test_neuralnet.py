@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -267,12 +269,41 @@ class TestGridSearch:
             grid_search([], None, None)
 
 
+ROUND_TRIP_SPECS = {
+    "mlp": dict(exog_dim=3, window=0, mlp_widths=(5,), conv_filters=()),
+    "cnn": dict(exog_dim=0, window=6, mlp_widths=(), conv_filters=(2, 3),
+                kernel_size=3),
+    "both": dict(exog_dim=3, window=6, mlp_widths=(5, 4), conv_filters=(2,),
+                 kernel_size=2),
+}
+
+
+def _hand_network():
+    """A two-branch network with small fixed weights, no training."""
+    return neuralnet.TrainedNetwork(
+        spec=NetworkSpec(out_dim=2, exog_dim=1, window=2, mlp_widths=(1,),
+                         conv_filters=(1,), kernel_size=2),
+        params=[np.array([[2.0]]), np.array([0.5]),
+                np.array([[[1.0]], [[-3.0]]]), np.array([0.0]),
+                np.array([[1.0, -1.0], [0.5, 0.25], [2.0, 4.0]]),
+                np.array([0.125, -0.125])],
+        scaler=neuralnet.Scaler(exog_mean=np.array([1.0]),
+                                exog_std=np.array([2.0]),
+                                win_mean=3.0, win_std=0.5),
+        history=[(1.5, 2.5)], best_epoch=0,
+    )
+
+
 class TestSerialization:
-    def test_round_trip(self, tmp_path, rng):
-        data = _linear_dataset(rng, n=48)
-        spec = NetworkSpec(out_dim=2, exog_dim=3, window=0,
-                           mlp_widths=(5,), conv_filters=())
-        net = train(spec, data, TrainConfig(max_epochs=5, seed=0))
+    @pytest.mark.parametrize("branches", sorted(ROUND_TRIP_SPECS))
+    def test_round_trip(self, tmp_path, rng, branches):
+        kw = ROUND_TRIP_SPECS[branches]
+        exog, _, targets = _linear_dataset(rng, n=48)
+        exog = exog[:, :kw["exog_dim"]]
+        windows = rng.standard_normal((48, kw["window"]))
+        spec = NetworkSpec(out_dim=2, **kw)
+        net = train(spec, (exog, windows, targets),
+                    TrainConfig(max_epochs=5, seed=0))
         path = tmp_path / "model.net"
         save_network(net, path)
         loaded = load_network(path)
@@ -280,11 +311,45 @@ class TestSerialization:
         assert loaded.best_epoch == net.best_epoch
         for p1, p2 in zip(net.params, loaded.params):
             assert np.array_equal(p1, p2)
-        probe = rng.standard_normal((4, 3))
-        assert np.array_equal(
-            neuralnet.predict(net, probe, np.zeros((4, 0))),
-            neuralnet.predict(loaded, probe, np.zeros((4, 0))),
+        probe = (rng.standard_normal((4, kw["exog_dim"])),
+                 rng.standard_normal((4, kw["window"])))
+        assert np.array_equal(neuralnet.predict(net, *probe),
+                              neuralnet.predict(loaded, *probe))
+        save_network(loaded, tmp_path / "again.net")
+        assert (tmp_path / "again.net").read_bytes() == path.read_bytes()
+
+    def test_file_bytes_pinned(self, tmp_path):
+        path = tmp_path / "hand.net"
+        save_network(_hand_network(), path)
+        header = (
+            b'{"best_epoch":0,"history":[[1.5,2.5]],'
+            b'"scaler":{"exog_mean":[1.0],"exog_std":[2.0],'
+            b'"win_mean":3.0,"win_std":0.5},'
+            b'"shapes":[[1,1],[1],[2,1,1],[1],[3,2],[2]],'
+            b'"spec":{"conv_filters":[1],"exog_dim":1,"kernel_size":2,'
+            b'"mlp_widths":[1],"out_dim":2,"window":2}}'
         )
+        weights = struct.pack("<13d", 2.0, 0.5, 1.0, -3.0, 0.0, 1.0, -1.0,
+                              0.5, 0.25, 2.0, 4.0, 0.125, -0.125)
+        assert path.read_bytes() == (b"HIERCAST-NET-1\n"
+                                     + struct.pack("<Q", len(header))
+                                     + header + weights)
+
+    def test_header_not_matching_weights_rejected(self, tmp_path):
+        path = tmp_path / "hand.net"
+        save_network(_hand_network(), path)
+        raw = path.read_bytes()
+        assert raw.count(b'"out_dim":2') == 1
+        path.write_bytes(raw.replace(b'"out_dim":2', b'"out_dim":3'))
+        with pytest.raises(ConfigError, match="hand.net"):
+            load_network(path)
+
+    def test_truncated_weights_rejected(self, tmp_path):
+        path = tmp_path / "hand.net"
+        save_network(_hand_network(), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ConfigError, match="hand.net"):
+            load_network(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.net"
