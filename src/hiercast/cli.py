@@ -176,14 +176,14 @@ def cmd_synth(cfg):
 def _resolve_nodes(hier, token):
     if token in (None, "all"):
         return list(hier.node_ids)
-    if str(token).startswith("level:"):
-        level = int(str(token).split(":", 1)[1])
-        if not 0 <= level <= hier.K - 1:
-            raise ConfigError(f"no level {level} in a {hier.K}-level hierarchy")
-        return hier.level_ids(level)
     try:
+        if str(token).startswith("level:"):
+            level = int(str(token).split(":", 1)[1])
+            if not 0 <= level <= hier.K - 1:
+                raise ConfigError(f"no level {level} in a {hier.K}-level hierarchy")
+            return hier.level_ids(level)
         nodes = _str_list(token)
-    except ConfigError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value for 'nodes': {exc}") from None
     for n in nodes:
         hier.index(n)
@@ -536,9 +536,13 @@ def cmd_plot(cfg):
 
 def _italian_to_panel(table):
     """Convert the wide pasta-demand table (DATE, QTY_B*_*, PROMO_B*_*)
-    to the standard triplet structures."""
+    to the standard triplet structures.  A short row, a bad date or a
+    non-numeric cell is a DataError naming the row and column; an empty
+    PROMO_ cell is 0, an empty QTY_ cell is an error."""
     from .hierarchy import Hierarchy, SeriesPanel
 
+    if len(table) < 2:
+        raise DataError("the Italian dataset table holds no data rows")
     header = table[0]
     qty_cols = {}
     promo_cols = {}
@@ -562,16 +566,28 @@ def _italian_to_panel(table):
     hier = Hierarchy.from_nodes(nodes)
 
     rows = table[1:]
-    T = len(rows)
-    timestamps = np.array([_parse_ts(str(r[date_col]).split(" ")[0]) for r in rows],
+
+    def column(j, parse):
+        """parse(cell) of column j in every row; row 1 follows the header."""
+        out = []
+        for i, r in enumerate(rows, start=1):
+            where = f"row {i}, column {str(header[j]).strip()!r}"
+            if j >= len(r):
+                raise DataError(f"{where}: the row has only {len(r)} cells")
+            try:
+                out.append(parse(str(r[j]).strip()))
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{where}: {exc}") from None
+        return out
+
+    timestamps = np.array(column(date_col, lambda c: _parse_ts(c.split(" ")[0])),
                           dtype="datetime64[s]")
-    values = np.zeros((T, hier.M))
+    values = np.zeros((len(rows), hier.M))
     exog = {}
     for it in items:
-        col = np.array([float(r[qty_cols[it]] or 0.0) for r in rows])
-        values[:, hier.index(it)] = col
+        values[:, hier.index(it)] = column(qty_cols[it], float)
         if it in promo_cols:
-            promo = np.array([float(r[promo_cols[it]] or 0.0) for r in rows])
+            promo = np.array(column(promo_cols[it], lambda c: float(c or 0.0)))
             exog[it] = (["promo"], promo[:, None])
     for level in (1, 0):
         for node_id in hier.level_ids(level):
@@ -589,12 +605,18 @@ def cmd_fetch_italian(cfg):
     out_dir, url = cfg["out"], cfg["url"]
     os.makedirs(out_dir, exist_ok=True)
 
-    with urlopen(url, timeout=60) as resp:
-        payload = resp.read()
+    try:
+        with urlopen(url, timeout=60) as resp:
+            payload = resp.read()
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot fetch {url}: {exc}") from None
     if url.endswith((".csv", ".txt")) or payload[:4] != b"PK\x03\x04":
-        text = payload.decode("utf-8-sig")
-        delim = ";" if text.splitlines()[0].count(";") > text.splitlines()[0].count(",") else ","
-        table = [line.split(delim) for line in text.splitlines() if line.strip()]
+        try:
+            lines = [ln for ln in payload.decode("utf-8-sig").splitlines() if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{url} is not UTF-8 text: {exc}") from None
+        delim = ";" if lines and lines[0].count(";") > lines[0].count(",") else ","
+        table = [line.split(delim) for line in lines]
     else:
         # Mendeley serves an xlsx; parse it with openpyxl if available.
         try:

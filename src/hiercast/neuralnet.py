@@ -6,7 +6,6 @@ with Adam on a squared loss carrying an extra penalty on the gap between the
 summed outputs and the summed targets.
 """
 
-import copy
 import itertools
 import json
 import math
@@ -137,6 +136,12 @@ def _shapes(spec: NetworkSpec) -> list:
             c_in = f
         feature_dim += spec.window * c_in
     return shapes + [(feature_dim, spec.out_dim), (spec.out_dim,)]
+
+
+def _views(flat, shapes) -> list:
+    """Arrays of the given shapes as views into one flat vector, in order."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def init_params(spec: NetworkSpec, rng) -> list:
@@ -294,7 +299,8 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig) -> TrainedNetwork:
 
     Splits off the chronological tail as validation, early-stops on it, and
     restores the weights of the best validation epoch.  Deterministic given
-    the seed.
+    the seed.  ``history`` holds (mean minibatch loss, validation loss) per
+    epoch; with no validation split, both are the training split's loss.
     """
     exog, windows, targets = (np.asarray(a, dtype=float) for a in dataset)
     N = targets.shape[0]
@@ -311,42 +317,42 @@ def train(spec: NetworkSpec, dataset, config: TrainConfig) -> TrainedNetwork:
     ex_s, win_s = scaler.transform(exog, windows)
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(spec, rng)
-    state = adam_init(params)
+    shapes = _shapes(spec)
+    flat = np.concatenate([p.ravel() for p in init_params(spec, rng)])
+    params = _views(flat, shapes)
+    state = adam_init([flat])
 
     def full_loss(lo, hi):
         out, _ = _forward_cache(spec, params, ex_s[lo:hi], win_s[lo:hi], keep=False)
         return coherence_loss(targets[lo:hi], out, config.alpha)
 
     best_loss = np.inf
-    best_params = copy.deepcopy(params)
+    best_flat = flat.copy()
     best_epoch = 0
-    bad = 0
     history = []
     for epoch in range(config.max_epochs):
         order = rng.permutation(n_train)
+        batch_losses = []
         for start in range(0, n_train, config.batch_size):
             sel = order[start:start + config.batch_size]
             out, cache = _forward_cache(spec, params, ex_s[sel], win_s[sel])
+            batch_losses.append(coherence_loss(targets[sel], out, config.alpha))
             gout = coherence_loss_grad(targets[sel], out, config.alpha)
-            grads = backward(spec, params, cache, gout)
-            adam_step(params, grads, state, config.learning_rate)
-        train_loss = full_loss(0, n_train)
-        val_loss = full_loss(n_train, N) if n_val else train_loss
+            grads = np.concatenate([g.ravel() for g in backward(spec, params, cache, gout)])
+            adam_step([flat], [grads], state, config.learning_rate)
+        val_loss = full_loss(n_train, N) if n_val else full_loss(0, n_train)
+        train_loss = float(np.mean(batch_losses)) if n_val else val_loss
         if not np.isfinite(train_loss) or not np.isfinite(val_loss):
             raise NumericError(f"training diverged (non-finite loss) at epoch {epoch}")
         history.append((train_loss, val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = copy.deepcopy(params)
+            best_flat = flat.copy()
             best_epoch = epoch
-            bad = 0
-        else:
-            bad += 1
-            if bad > config.patience:
-                break
+        elif epoch - best_epoch > config.patience:
+            break
     return TrainedNetwork(
-        spec=spec, params=best_params, scaler=scaler,
+        spec=spec, params=_views(best_flat, shapes), scaler=scaler,
         history=history, best_epoch=best_epoch,
     )
 
@@ -428,8 +434,8 @@ def save_network(net: TrainedNetwork, path):
 
 def load_network(path) -> TrainedNetwork:
     """Read a ``save_network`` file.  A header that does not parse or whose
-    shapes are not its spec's, or a payload of the wrong length, is a
-    ConfigError naming the path."""
+    shapes or scaler lengths are not its spec's, or a payload of the wrong
+    length, is a ConfigError naming the path."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ConfigError(f"{path}: not a network weight file")
@@ -444,12 +450,15 @@ def load_network(path) -> TrainedNetwork:
         shapes = _shapes(spec)
         if header.get("shapes") != [list(s) for s in shapes]:
             raise ConfigError(f"{path}: header shapes do not match its spec {shapes}")
+        if not scaler.exog_mean.shape == scaler.exog_std.shape == (spec.exog_dim,):
+            raise ConfigError(f"{path}: scaler exog_mean/exog_std shapes {scaler.exog_mean.shape}/"
+                              f"{scaler.exog_std.shape}, spec exog_dim {spec.exog_dim}")
         payload = fh.read()
-    ends = np.cumsum([math.prod(s) for s in shapes])
-    if len(payload) != 8 * ends[-1]:
-        raise ConfigError(f"{path}: {len(payload)} bytes of weights, spec needs {8 * ends[-1]}")
-    parts = np.split(np.frombuffer(payload, dtype="<f8"), ends[:-1])
+    size = sum(math.prod(s) for s in shapes)
+    if len(payload) != 8 * size:
+        raise ConfigError(f"{path}: {len(payload)} bytes of weights, spec needs {8 * size}")
+    flat = np.frombuffer(payload, dtype="<f8").astype(float)
     return TrainedNetwork(
-        spec=spec, params=[a.reshape(s).copy() for a, s in zip(parts, shapes)],
+        spec=spec, params=_views(flat, shapes),
         scaler=scaler, history=history, best_epoch=best_epoch,
     )

@@ -146,10 +146,9 @@ def disaggregate(model: DisaggregationModel, parent_forecast, features,
                  parent_history) -> np.ndarray:
     """Step 2: feed parent forecasts through the trained network.
 
-    Each step's window is filled from the tail of the actual history plus
-    the parent forecast values consumed so far (the current step's parent
-    value is the forecast itself).  Returns (h, n_children) in original
-    scale.
+    Step i's window is the tail of the actual history plus parent forecasts
+    0..i; all h windows are cut up front and go through one ``predict``.
+    Returns (h, n_children) in original scale.
     """
     parent_forecast = np.asarray(parent_forecast, dtype=float).ravel()
     if not np.all(np.isfinite(parent_forecast)):
@@ -158,18 +157,13 @@ def disaggregate(model: DisaggregationModel, parent_forecast, features,
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[0] < h:
         raise DataError(f"need {h} feature rows, got {features.shape[0]}")
-    hist = list(np.asarray(parent_history, dtype=float).ravel())
+    hist = np.asarray(parent_history, dtype=float).ravel()
     w = model.window.w
     if len(hist) < w - 1:
-        raise DataError(
-            f"insufficient history ({len(hist)}) to fill a window of {w}"
-        )
-    out = np.empty((h, len(model.child_ids)))
-    for i in range(h):
-        hist.append(parent_forecast[i])
-        window = np.asarray(hist[-w:])
-        out[i] = neuralnet.predict(model.net, features[i][None, :], window[None, :])[0]
-    return out
+        raise DataError(f"insufficient history ({len(hist)}) to fill a window of {w}")
+    series = np.concatenate([hist[len(hist) - w + 1:], parent_forecast])
+    windows, _ = make_windows(series, WindowConfig(w=w))
+    return neuralnet.predict(model.net, features[:h], windows)
 
 
 def raw_violation(child_forecasts, parent_forecast):

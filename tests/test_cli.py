@@ -430,6 +430,52 @@ def test_empty_name_list_is_config_error(dataset, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("token", ["level:x", "level:", "level:9"])
+def test_bad_level_in_nodes_is_config_error(dataset, tmp_path, capsys, token):
+    argv = ["forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--nodes", token,
+            "--out", str(tmp_path / "out" / "base.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "'nodes'" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+ITALIAN_CSV = ("DATE,QTY_B1_1,QTY_B1_2,PROMO_B1_1\n"
+               "2014-01-02,3,4,0\n"
+               "2014-01-03,5,6,1\n")
+
+
+@pytest.mark.parametrize("text,where", [
+    (ITALIAN_CSV.replace(",5,", ",five,"), "row 2, column 'QTY_B1_1'"),
+    (ITALIAN_CSV.replace(",5,", ",,"), "row 2, column 'QTY_B1_1'"),
+    (ITALIAN_CSV.replace(",6,1", ""), "row 2, column 'PROMO_B1_1'"),
+    (None, "missing.csv"),
+], ids=["non-numeric", "empty-quantity", "short-row", "missing-file"])
+def test_fetch_italian_bad_input_is_data_error(tmp_path, capsys, text, where):
+    src = tmp_path / "missing.csv"
+    if text is not None:
+        src.write_text(text)
+    argv = ["fetch-italian", "--out", str(tmp_path / "it"), "--url", src.as_uri()]
+    assert main(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DataError" and err["exit_code"] == 3
+    assert where in err["message"]
+
+
+def test_fetch_italian_from_file_url(tmp_path):
+    src = tmp_path / "pasta.csv"
+    src.write_text(ITALIAN_CSV.replace(",0\n", ",\n"))    # empty promo is 0
+    assert main(["fetch-italian", "--out", str(tmp_path / "it"),
+                 "--url", src.as_uri()]) == 0
+    hier = load_hierarchy(tmp_path / "it" / "hierarchy.csv")
+    assert sorted(hier.node_ids) == ["B1", "B1_1", "B1_2", "total"]
+    obs = (tmp_path / "it" / "observations.csv").read_text()
+    assert "2014-01-03,total,11.0\n" in obs
+
+
 class TestBadValues:
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("command,key,value", BAD_VALUES)

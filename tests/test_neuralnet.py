@@ -1,3 +1,4 @@
+import copy
 import struct
 
 import numpy as np
@@ -356,3 +357,121 @@ class TestSerialization:
         path.write_bytes(b"not a network")
         with pytest.raises(ConfigError):
             load_network(path)
+
+    @pytest.mark.parametrize("old,new", [(b'"exog_mean":[1.0]', b'"exog_mean":[1,2]'),
+                                         (b'"exog_std":[2.0]', b'"exog_std":[2,3]')],
+                             ids=["exog_mean", "exog_std"])
+    def test_scaler_not_matching_spec_rejected(self, tmp_path, old, new):
+        # two scaler entries for exog_dim 1; same length keeps the header size
+        path = tmp_path / "hand.net"
+        save_network(_hand_network(), path)
+        raw = path.read_bytes()
+        assert raw.count(old) == 1 and len(old) == len(new)
+        path.write_bytes(raw.replace(old, new))
+        with pytest.raises(ConfigError, match="hand.net"):
+            load_network(path)
+
+
+def _train_per_array(spec, dataset, config):
+    """Training with one Adam update per weight array, a deep copy per best
+    epoch and a full training-split loss pass per epoch: the loop that the
+    flat-buffer ``train`` replaced, kept as its oracle.  Also returns each
+    epoch's minibatch losses."""
+    exog, windows, targets = (np.asarray(a, dtype=float) for a in dataset)
+    N = targets.shape[0]
+    n_val = int(N * config.validation_fraction)
+    n_train = N - n_val
+    scaler = neuralnet.Scaler.fit(exog[:n_train], windows[:n_train])
+    ex_s, win_s = scaler.transform(exog, windows)
+    rng = np.random.default_rng(config.seed)
+    params = init_params(spec, rng)
+    state = adam_init(params)
+
+    def full_loss(lo, hi):
+        out, _ = neuralnet._forward_cache(spec, params, ex_s[lo:hi], win_s[lo:hi])
+        return coherence_loss(targets[lo:hi], out, config.alpha)
+
+    best_loss, best_params, best_epoch, bad = np.inf, copy.deepcopy(params), 0, 0
+    history, batch_losses = [], []
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n_train)
+        batch_losses.append([])
+        for start in range(0, n_train, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            out, cache = neuralnet._forward_cache(spec, params, ex_s[sel], win_s[sel])
+            batch_losses[-1].append(coherence_loss(targets[sel], out, config.alpha))
+            gout = neuralnet.coherence_loss_grad(targets[sel], out, config.alpha)
+            adam_step(params, neuralnet.backward(spec, params, cache, gout), state,
+                      config.learning_rate)
+        train_loss = full_loss(0, n_train)
+        val_loss = full_loss(n_train, N) if n_val else train_loss
+        history.append((train_loss, val_loss))
+        if val_loss < best_loss:
+            best_loss, best_params, best_epoch, bad = val_loss, copy.deepcopy(params), epoch, 0
+        else:
+            bad += 1
+            if bad > config.patience:
+                break
+    return best_params, history, best_epoch, batch_losses
+
+
+FLAT_SPECS = {
+    "mlp": dict(exog_dim=3, window=0, mlp_widths=(6, 5), conv_filters=()),
+    "both": dict(exog_dim=3, window=8, mlp_widths=(5,), conv_filters=(3, 2),
+                 kernel_size=4),
+}
+
+
+class TestFlatBuffer:
+    def test_adam_on_flat_equals_per_array_steps(self, rng):
+        shapes = [(3, 4), (4,), (2, 1, 5), (5,), (7, 2), (2,)]
+        per_array = [rng.standard_normal(s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in per_array])
+        views = neuralnet._views(flat, shapes)
+        s_flat, s_arr = adam_init([flat]), adam_init(per_array)
+        for _ in range(6):
+            grads = [rng.standard_normal(s) for s in shapes]
+            adam_step([flat], [np.concatenate([g.ravel() for g in grads])], s_flat, lr=0.01)
+            adam_step(per_array, grads, s_arr, lr=0.01)
+        for v, p in zip(views, per_array):
+            assert np.shares_memory(v, flat)
+            assert np.array_equal(v, p)
+
+    @pytest.mark.parametrize("branches", sorted(FLAT_SPECS))
+    @pytest.mark.parametrize("val_fraction", [0.2, 0.0])
+    def test_train_equals_per_array_loop(self, rng, branches, val_fraction):
+        kw = FLAT_SPECS[branches]
+        exog, _, targets = _linear_dataset(rng, n=70)
+        windows = rng.standard_normal((70, kw["window"]))
+        spec = NetworkSpec(out_dim=2, **kw)
+        cfg = TrainConfig(max_epochs=12, patience=3, batch_size=16,
+                          validation_fraction=val_fraction, seed=4)
+        net = train(spec, (exog, windows, targets), cfg)
+        params, history, best_epoch, batch_losses = _train_per_array(
+            spec, (exog, windows, targets), cfg)
+        assert net.best_epoch == best_epoch
+        assert len(net.params) == len(params)
+        for p1, p2 in zip(net.params, params):
+            assert np.array_equal(p1, p2)
+        assert [v for _, v in net.history] == [v for _, v in history]
+        if val_fraction:
+            # the train column is the mean of the epoch's minibatch losses
+            assert [t for t, _ in net.history] == [np.mean(b) for b in batch_losses]
+        else:
+            assert net.history == history
+
+    def test_trained_weights_are_views_of_one_vector(self, rng):
+        data = _linear_dataset(rng, n=40)
+        spec = NetworkSpec(out_dim=2, **FLAT_SPECS["mlp"])
+        net = train(spec, data, TrainConfig(max_epochs=2, seed=0))
+        flat = net.params[0].base
+        assert flat.ndim == 1 and flat.size == sum(p.size for p in net.params)
+        assert all(np.shares_memory(p, flat) for p in net.params)
+
+    def test_loaded_weights_are_views_of_one_vector(self, tmp_path):
+        path = tmp_path / "hand.net"
+        save_network(_hand_network(), path)
+        params = load_network(path).params
+        flat = params[0].base
+        assert flat.flags.writeable and flat.size == 13
+        assert all(np.shares_memory(p, flat) for p in params)

@@ -6,7 +6,7 @@ from hiercast import (ArchConfig, DataError, Hierarchy, NndConfig,
                       disaggregate, make_windows, nnd_iterative_topdown,
                       nnd_middle_out, nnd_standard_topdown, raw_violation,
                       train_nnd)
-from hiercast import kernels
+from hiercast import kernels, neuralnet
 from hiercast.neuralnet import TrainConfig
 from hiercast.nnd import feature_matrix
 
@@ -144,6 +144,60 @@ class TestTrainDisaggregate:
                           tiny_cfg(window=WindowConfig(w=10)), end=50)
         with pytest.raises(DataError, match="history"):
             disaggregate(model, [1.0], np.zeros((1, 0)), np.ones(3))
+
+
+def _disaggregate_stepwise(model, parent_forecast, features, parent_history):
+    """One one-row ``predict`` per step, each window cut after appending that
+    step's forecast: the loop that batched ``disaggregate`` replaced."""
+    hist = list(np.asarray(parent_history, dtype=float).ravel())
+    w = model.window.w
+    out = np.empty((len(parent_forecast), len(model.child_ids)))
+    for i, value in enumerate(parent_forecast):
+        hist.append(value)
+        window = np.asarray(hist[-w:])
+        out[i] = neuralnet.predict(model.net, features[i][None, :], window[None, :])[0]
+    return out
+
+
+class TestBatchedDisaggregate:
+    # one h-row GEMM may round differently from h one-row products
+    RTOL = 1e-12
+
+    @staticmethod
+    def promo_panel(T=80):
+        """Two children with a promo column each, so both branches run."""
+        rng = np.random.default_rng(7)
+        hier = make_hierarchy((2,))
+        top = 20.0 + 5.0 * np.sin(2 * np.pi * np.arange(T) / 7) + rng.standard_normal(T)
+        promo = (rng.random((T, 2)) < 0.3).astype(float)
+        exog = {kid: (["promo"], promo[:, [j]]) for j, kid in enumerate(hier.bottom_ids)}
+        return panel_from_bottom(hier, np.outer(top, [0.3, 0.7]) * (1 + promo), exog=exog)
+
+    @pytest.mark.parametrize("w", [1, 9])      # w=1 and w=h
+    def test_matches_stepwise_loop(self, w):
+        n_train, h = 60, 9
+        panel = self.promo_panel()
+        cfg = tiny_cfg(window=WindowConfig(w=w),
+                       train=TrainConfig(max_epochs=3, batch_size=8))
+        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids, cfg,
+                          end=n_train)
+        parent = panel.series("total")
+        _, feats = feature_matrix(panel, model.child_ids)
+        args = (model, parent[n_train:n_train + h] * 1.03,
+                feats[n_train:n_train + h], parent[:n_train])
+        batched = disaggregate(*args)
+        stepwise = _disaggregate_stepwise(*args)
+        assert batched.shape == stepwise.shape == (h, 2)
+        np.testing.assert_allclose(batched, stepwise, rtol=self.RTOL, atol=0)
+
+    def test_history_of_exactly_w_minus_one(self):
+        panel = fixed_share_panel(T=60)
+        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
+                          tiny_cfg(window=WindowConfig(w=4)), end=50)
+        _, feats = feature_matrix(panel, model.child_ids)
+        args = (model, np.full(5, 20.0), feats[50:55], panel.series("total")[:3])
+        np.testing.assert_allclose(disaggregate(*args), _disaggregate_stepwise(*args),
+                                   rtol=self.RTOL, atol=0)
 
 
 class TestRawViolation:
