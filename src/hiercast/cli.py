@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, neuralnet
 from .errors import ConfigError, DataError, HiercastError, NumericError
-from .evaluate import CVConfig, EvalReport, nemenyi_svg
+from .evaluate import CVConfig, EvalReport, nemenyi_svg, scorer
 from .forecasters import default_candidates, select_model
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, coherence_violation,
@@ -36,7 +36,9 @@ from .synthetic import GeneratorSpec, write_dataset
 
 ITALIAN_URL = "https://data.mendeley.com/public-api/datasets/s8dgbs3rng/files?folder_id=root&version=1"
 
-EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4}
+# error -> exit code, first match wins; main() catches exactly these
+EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4,
+              np.linalg.LinAlgError: 4, HiercastError: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def cmd_forecast(cfg):
     fs = ForecastSet(
         method="fstar", node_ids=tuple(nodes),
         timestamps=_future_timestamps(panel, n_train, h),
-        values=values, kind="base",
+        values=values,
     )
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     fs.write_csv(out)
@@ -265,8 +267,7 @@ def _historical_subtree_proportions(panel, node_id):
 def cmd_reconcile(cfg):
     hier, panel = _load_inputs(cfg)
     S = build_summing_matrix(hier)
-    fs = read_forecast_set(_require_file(cfg["base"], "base forecast"),
-                           kind="base")
+    fs = read_forecast_set(_require_file(cfg["base"], "base forecast"))
     base = _base_matrix(fs, hier)
     hist = (panel if cfg["split"] is None
             else panel.slice_rows(0, _split_index(cfg, panel)))
@@ -316,7 +317,7 @@ def cmd_reconcile(cfg):
             )
         ForecastSet(
             method=method, node_ids=tuple(hier.node_ids),
-            timestamps=fs.timestamps, values=values, kind="coherent",
+            timestamps=fs.timestamps, values=values,
         ).write_csv(os.path.join(out_dir, f"{method}.csv"))
     print(f"wrote {len(outputs)} coherent forecast sets to {out_dir}")
     return 0
@@ -365,7 +366,7 @@ def cmd_nnd(cfg):
     ForecastSet(
         method=strategy, node_ids=tuple(hier.node_ids),
         timestamps=_future_timestamps(panel, n_train, h),
-        values=result.values, kind="coherent",
+        values=result.values,
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
 
     models_dir = os.path.join(out_dir, "models")
@@ -389,17 +390,13 @@ def cmd_nnd(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(cfg):
-    from .evaluate import mase as _mase, smape as _smape
-
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
     metric = cfg["metric"].lower()
-    if metric not in ("mase", "smape"):
-        raise ConfigError(f"unknown metric {metric!r} (choose mase or smape)")
+    score = scorer(metric)
     m_season, out_dir, paths = cfg["m_season"], cfg["out_dir"], cfg["forecasts"]
 
-    sets = [read_forecast_set(_require_file(p, "forecast"), kind="coherent")
-            for p in paths]
+    sets = [read_forecast_set(_require_file(p, "forecast")) for p in paths]
     methods = [fs.method for fs in sets]
     if len(set(methods)) != len(methods):
         raise ConfigError(f"duplicate method names across forecast files: {methods}")
@@ -423,11 +420,8 @@ def cmd_evaluate(cfg):
         scores = {}
         try:
             for fs in sets:
-                fc = fs.column(node_id)
-                if metric == "mase":
-                    scores[fs.method] = _mase(actual, fc, insample, m_season)
-                else:
-                    scores[fs.method] = _smape(actual, fc)
+                scores[fs.method] = score(actual, fs.column(node_id), insample,
+                                          m_season)
         except NumericError as exc:
             report.flagged[node_id] = str(exc)
             continue
@@ -603,8 +597,6 @@ def cmd_fetch_italian(cfg):
     from .hierarchy import write_exog, write_hierarchy, write_observations
 
     out_dir, url = cfg["out"], cfg["url"]
-    os.makedirs(out_dir, exist_ok=True)
-
     try:
         with urlopen(url, timeout=60) as resp:
             payload = resp.read()
@@ -634,6 +626,7 @@ def cmd_fetch_italian(cfg):
                  for row in ws.iter_rows(values_only=True)]
 
     panel = _italian_to_panel(table)
+    os.makedirs(out_dir, exist_ok=True)
     write_hierarchy(panel.hierarchy, os.path.join(out_dir, "hierarchy.csv"))
     write_observations(panel, os.path.join(out_dir, "observations.csv"))
     if panel.exog:
@@ -733,24 +726,14 @@ def main(argv=None):
     handler, _, rows = COMMANDS[args.command]
     try:
         return handler(settings(args, rows))
-    except HiercastError as exc:
-        code = 2
-        for cls, c in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                code = c
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for cls, c in EXIT_CODES.items() if isinstance(exc, cls))
         print(json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),
             "exit_code": code,
         }), file=sys.stderr)
         return code
-    except np.linalg.LinAlgError as exc:
-        print(json.dumps({
-            "error": "LinAlgError",
-            "message": str(exc),
-            "exit_code": 4,
-        }), file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

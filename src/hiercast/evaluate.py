@@ -43,6 +43,21 @@ def smape(actual, forecast):
     return float((2.0 * np.abs(actual - forecast) / scale).mean())
 
 
+# metric name -> score(actual, forecast, insample, m_season); the entries call
+# mase and smape by module name, so a wrapper bound over either sees each call
+_SCORERS = {
+    "mase": lambda actual, fc, insample, m_season: mase(actual, fc, insample, m_season),
+    "smape": lambda actual, fc, insample, m_season: smape(actual, fc),
+}
+
+
+def scorer(metric):
+    """The score function a metric names; an unknown name is a ConfigError."""
+    if metric not in _SCORERS:
+        raise ConfigError(f"unknown metric {metric!r} (choose {' or '.join(_SCORERS)})")
+    return _SCORERS[metric]
+
+
 # ---------------------------------------------------------------------------
 # Expanding-window cross-validation
 # ---------------------------------------------------------------------------
@@ -85,9 +100,11 @@ def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1)
     """Score a model factory over expanding-window folds.
 
     ``factory()`` returns a fresh forecaster with fit(y, X) and
-    forecast(h, X_future).  Failing folds are skipped with a warning; if all
-    folds fail a NumericError is raised.  Returns (mean_score, fold_scores).
+    forecast(h, X_future); ``metric`` names a :func:`scorer`.  Failing folds
+    are skipped with a warning; if all folds fail a NumericError is raised.
+    Returns (mean_score, fold_scores).
     """
+    score = scorer(metric)
     y = np.asarray(y, dtype=float)
     folds = cfg.fold_sizes(len(y))
     if not folds:
@@ -101,15 +118,7 @@ def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1)
             model = factory()
             model.fit(y[:n], X[:n] if X is not None else None)
             fc = model.forecast(cfg.horizon, X[n:n + cfg.horizon] if X is not None else None)
-            actual = y[n:n + cfg.horizon]
-            if metric == "mase":
-                scores.append(mase(actual, fc, y[:n], m_season))
-            elif metric == "smape":
-                scores.append(smape(actual, fc))
-            elif callable(metric):
-                scores.append(metric(actual, fc, y[:n]))
-            else:
-                raise ConfigError(f"unknown metric {metric!r}")
+            scores.append(score(y[n:n + cfg.horizon], fc, y[:n], m_season))
         except ConfigError:
             raise
         except HiercastError as exc:

@@ -9,6 +9,7 @@ import copy
 from dataclasses import replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels, neuralnet
 from .errors import ConfigError, DataError, NumericError
@@ -32,6 +33,12 @@ def _first_min(sse):
     if np.isnan(sse[0]):
         return 0
     return int(np.argmin(np.where(np.isnan(sse), np.inf, sse)))
+
+
+def _lags(y, p):
+    """(len(y) - p, p) view: row i is y[i+p-1], ..., y[i], the p values
+    before y[i+p], most recent first."""
+    return sliding_window_view(y[:-1], p)[:, ::-1]
 
 
 def _check_series(y):
@@ -167,9 +174,7 @@ class Arx:
 
     def _ls_fit(self, z, Xz, p):
         rows = len(z) - p
-        cols = [np.ones(rows)]
-        for lag in range(1, p + 1):
-            cols.append(z[p - lag:len(z) - lag])
+        cols = [np.ones(rows), _lags(z, p)]
         if Xz is not None:
             cols.append(Xz[p:])
         A = np.column_stack(cols)
@@ -307,12 +312,7 @@ class Narx:
         if len(y) <= p + 2:
             raise DataError(f"series too short for NAR with lag order {p}")
         rows = len(y) - p
-        feats = np.empty((rows, p + (X.shape[1] if X is not None else 0)))
-        for i in range(rows):
-            t = p + i
-            feats[i, :p] = y[t - p:t][::-1]
-            if X is not None:
-                feats[i, p:] = X[t]
+        feats = np.column_stack([_lags(y, p)] + ([X[p:]] if X is not None else []))
         targets = y[p:, None]
         spec = neuralnet.NetworkSpec(
             out_dim=1, exog_dim=feats.shape[1], window=0,

@@ -1,5 +1,5 @@
-"""Per-node forecast vectors over a horizon, tagged base vs. coherent,
-with the shared CSV schema timestamp,node_id,forecast,method."""
+"""Per-node forecast vectors over a horizon, with the shared CSV schema
+timestamp,node_id,forecast,method."""
 
 import csv
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ class ForecastSet:
     node_ids: tuple            # canonical order (possibly a subset of nodes)
     timestamps: np.ndarray     # (H,) datetime64[s]
     values: np.ndarray         # (H, len(node_ids))
-    kind: str = "coherent"     # "base" or "coherent"
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -27,8 +26,6 @@ class ForecastSet:
                 f"forecast values shape {self.values.shape} does not match "
                 f"{len(self.timestamps)} steps x {len(self.node_ids)} nodes"
             )
-        if self.kind not in ("base", "coherent"):
-            raise DataError(f"unknown forecast kind {self.kind!r}")
 
     @property
     def horizon(self):
@@ -52,7 +49,7 @@ class ForecastSet:
                     writer.writerow([stamp, node_id, repr(float(self.values[t, j])), self.method])
 
 
-def read_forecast_set(path, kind="coherent") -> ForecastSet:
+def read_forecast_set(path) -> ForecastSet:
     """Read one method's forecasts; columns follow first appearance."""
     table = read_long_csv(path, ("node_id", "method"), "forecast")
     if not table.row_value:
@@ -66,5 +63,5 @@ def read_forecast_set(path, kind="coherent") -> ForecastSet:
                         [(n, methods[0]) for n in nodes], "forecast")
     return ForecastSet(
         method=methods[0], node_ids=nodes,
-        timestamps=timestamps, values=values, kind=kind,
+        timestamps=timestamps, values=values,
     )

@@ -81,13 +81,6 @@ class Hierarchy:
     def M(self):
         return len(self.node_ids)
 
-    @property
-    def m_k(self):
-        counts = [0] * self.K
-        for lv in self.levels:
-            counts[lv] += 1
-        return counts
-
     @cached_property
     def _row_of(self):
         return {n: i for i, n in enumerate(self.node_ids)}
@@ -117,9 +110,6 @@ class Hierarchy:
     def bottom_ids(self):
         return self.level_ids(self.K - 1)
 
-    def parent(self, node_id):
-        return self.parent_ids[self.index(node_id)]
-
     def children(self, node_id):
         return list(self._children_of.get(node_id, ()))
 
@@ -129,14 +119,6 @@ class Hierarchy:
         for _ in range(self.K - 1 - lv):
             front = [c for n in front for c in self.children(n)]
         return front
-
-    def subtree(self, node_id):
-        """All nodes below (and including) node_id, canonical order."""
-        keep = {node_id}
-        for n, p in zip(self.node_ids, self.parent_ids):
-            if p in keep:
-                keep.add(n)
-        return [n for n in self.node_ids if n in keep]
 
 
 @dataclass(frozen=True)
@@ -212,13 +194,15 @@ def coherence_violation(S: SummingMatrix, forecasts: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _CAL_DEFAULT = ("dow", "month")
+# largest parent-vs-children gap an observed panel may show
+EPS_DATA = 1e-6
 
 
 def calendar_matrix(timestamps, kinds=_CAL_DEFAULT):
     """One-hot calendar dummies (first category dropped per kind).
 
-    Supported kinds: "dow" (6 columns, Monday dropped), "month" (11 columns,
-    January dropped), "hour" (23 columns, hour 0 dropped).
+    Supported kinds: "dow" (6 columns, Monday dropped) and "month" (11
+    columns, January dropped).
     """
     ts = np.asarray(timestamps, dtype="datetime64[s]")
     names, cols = [], []
@@ -229,9 +213,6 @@ def calendar_matrix(timestamps, kinds=_CAL_DEFAULT):
         elif kind == "month":
             idx = ts.astype("datetime64[M]").view("int64") % 12 + 1
             cats = range(2, 13)
-        elif kind == "hour":
-            idx = (ts.view("int64") // 3600) % 24
-            cats = range(1, 24)
         else:
             raise DataError(f"unknown calendar feature {kind!r}")
         for c in cats:
@@ -251,7 +232,6 @@ class SeriesPanel:
     values: np.ndarray                     # (T, M), canonical node order
     exog: dict = field(default_factory=dict)   # node_id -> (names, (T, d))
     calendar: tuple = _CAL_DEFAULT
-    eps_data: float = 1e-6
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -268,10 +248,10 @@ class SeriesPanel:
             raise DataError("observations contain non-finite values")
         S = build_summing_matrix(self.hierarchy)
         gap = coherence_violation(S, self.values)
-        if gap > self.eps_data:
+        if gap > EPS_DATA:
             raise DataError(
                 f"observed data violates aggregation constraints by {gap:.3g} "
-                f"(limit {self.eps_data:.3g})"
+                f"(limit {EPS_DATA:.3g})"
             )
         for node_id, (names, mat) in self.exog.items():
             mat = np.asarray(mat, dtype=float)
@@ -325,7 +305,6 @@ class SeriesPanel:
             values=self.values[start:stop],
             exog=exog,
             calendar=self.calendar,
-            eps_data=self.eps_data,
         )
 
 
@@ -454,14 +433,16 @@ def pivot_long(path, table: LongTable, timestamps, keys, what):
     return np.array(cells, dtype=float).reshape(len(timestamps), width)
 
 
-def load_panel(hierarchy, obs_path, exog_path=None, calendar=_CAL_DEFAULT,
-               eps_data=1e-6) -> SeriesPanel:
+def load_panel(hierarchy, obs_path, exog_path=None,
+               calendar=_CAL_DEFAULT) -> SeriesPanel:
     """Read long-format observation (and optional exogenous) CSVs.
 
     Columns follow hierarchy order; exog variables are sorted per node and
     aligned to the observation timestamps.
     """
     table = read_long_csv(obs_path, ("node_id",))
+    if not table.row_value:
+        raise DataError(f"{obs_path}: empty observations file")
     timestamps = np.unique(table.instants)
     values = pivot_long(obs_path, table, timestamps,
                         [(n,) for n in hierarchy.node_ids], "observation")
@@ -481,7 +462,6 @@ def load_panel(hierarchy, obs_path, exog_path=None, calendar=_CAL_DEFAULT,
         values=values,
         exog=exog,
         calendar=calendar,
-        eps_data=eps_data,
     )
 
 

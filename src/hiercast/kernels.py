@@ -5,7 +5,8 @@ matrix (im2col; Chellapilla et al., 2006), and its gradient to two more.
 The exponential-smoothing kernels fit a whole parameter grid in one pass
 over time.
 
-``benchmarks/bench_kernels.py`` times the kernels.
+``python3 hcbench/run.py --trace 1`` times them at the benchmark workloads'
+shapes (``conv1d_same.*``, ``conv1d_same_grad.*``, ``hw_add_fit.*``).
 """
 
 import numpy as np

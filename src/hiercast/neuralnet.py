@@ -365,25 +365,18 @@ def predict(net: TrainedNetwork, exog, window):
     return forward(net.spec, net.params, ex_s, win_s)
 
 
-def validation_loss(net: TrainedNetwork):
-    if not net.history:
-        raise NumericError("network has no training history")
-    return net.history[net.best_epoch][1]
-
-
 # ---------------------------------------------------------------------------
 # Architecture grid search
 # ---------------------------------------------------------------------------
 
-def spec_grid(out_dim, exog_dim, window, filters_grid=(16, 32, 64),
-              kernel_grid=(4, 8, 16), hidden_grid=(64, 128, 256),
-              n_conv=6, n_dense=3):
-    """All (filters, kernel, hidden) combinations, lexicographic order."""
+def spec_grid(out_dim, exog_dim, window, n_conv=6, n_dense=3):
+    """Every (filters, kernel, hidden) in {16, 32, 64} x {4, 8, 16} x
+    {64, 128, 256}, lexicographic order."""
     return [NetworkSpec(out_dim=out_dim, exog_dim=exog_dim, window=window,
                         mlp_widths=(hid,) * n_dense,
                         conv_filters=(f,) * n_conv, kernel_size=k)
             for f, k, hid in itertools.product(
-                sorted(filters_grid), sorted(kernel_grid), sorted(hidden_grid))]
+                (16, 32, 64), (4, 8, 16), (64, 128, 256))]
 
 
 def grid_search(specs, dataset, config, trainer=train):
@@ -402,7 +395,7 @@ def grid_search(specs, dataset, config, trainer=train):
         except NumericError as exc:
             warnings.warn(f"grid cell {i} failed: {exc}")
             continue
-        score = validation_loss(net)
+        score = net.history[net.best_epoch][1]
         if best is None or score < best[0]:
             best = (score, spec, net)
     if best is None:

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import neuralnet
 from .errors import ConfigError, DataError
@@ -40,10 +41,7 @@ class ArchConfig:
     filters: int = 16
     n_conv: int = 6
     kernel_size: int = 4
-    grid: bool = False               # grid-search F x K x H when True
-    filters_grid: tuple = (16, 32, 64)
-    kernel_grid: tuple = (4, 8, 16)
-    hidden_grid: tuple = (64, 128, 256)
+    grid: bool = False               # grid-search spec_grid's F x K x H when True
 
 
 @dataclass
@@ -74,7 +72,7 @@ def make_windows(series, cfg: WindowConfig):
     if len(series) < w:
         raise DataError(f"series length {len(series)} shorter than window {w}")
     targets = np.arange(w - 1, len(series), cfg.hop)
-    windows = np.stack([series[t - w + 1:t + 1] for t in targets])
+    windows = sliding_window_view(series, w)[::cfg.hop].copy()
     return windows, targets
 
 
@@ -123,9 +121,7 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
     if arch.grid:
         specs = neuralnet.spec_grid(
             out_dim=m, exog_dim=d, window=cfg.window.w,
-            filters_grid=arch.filters_grid, kernel_grid=arch.kernel_grid,
-            hidden_grid=arch.hidden_grid, n_conv=arch.n_conv,
-            n_dense=arch.n_dense,
+            n_conv=arch.n_conv, n_dense=arch.n_dense,
         )
         _, net = neuralnet.grid_search(specs, (feats, windows, targets), tcfg)
     else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
+from hiercast import cli
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
 
@@ -65,7 +66,7 @@ class TestForecast:
     def test_writes_forecasts_and_model_choices(self, dataset, tmp_path):
         out = tmp_path / "base.csv"
         assert run_forecast(dataset, out) == 0
-        fs = read_forecast_set(out, kind="base")
+        fs = read_forecast_set(out)
         assert fs.method == "fstar"
         assert fs.values.shape == (7, 7)   # 7 nodes in a (2,2) tree
         doc = json.loads((tmp_path / "base_models.json").read_text())
@@ -84,8 +85,23 @@ class TestForecast:
     def test_out_into_missing_directory(self, dataset, tmp_path):
         out = tmp_path / "missing" / "base.csv"
         assert run_forecast(dataset, out) == 0
-        assert read_forecast_set(out, kind="base").values.shape == (7, 7)
+        assert read_forecast_set(out).values.shape == (7, 7)
         assert (tmp_path / "missing" / "base_models.json").exists()
+
+    def test_header_only_observations_is_data_error(self, dataset, tmp_path,
+                                                    capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text((dataset / "observations.csv").read_text().splitlines(
+            keepends=True)[0])
+        code = main([
+            "forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(obs), "--split", "10",
+            "--out", str(tmp_path / "base.csv"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == f"{obs}: empty observations file"
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main([
@@ -111,7 +127,7 @@ class TestReconcile:
         assert code == 0
         hier = load_hierarchy(dataset / "hierarchy.csv")
         S = build_summing_matrix(hier)
-        fs_base = read_forecast_set(base, kind="base")
+        fs_base = read_forecast_set(base)
         bottom = np.column_stack([fs_base.column(n) for n in hier.bottom_ids])
         fs_bu = read_forecast_set(out_dir / "bu.csv")
         got = np.column_stack([fs_bu.column(n) for n in hier.node_ids])
@@ -146,6 +162,37 @@ class TestReconcile:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "magic" in err["message"]
+
+    def _reconcile_zero_base(self, dataset, tmp_path, methods):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        base = tmp_path / "base.csv"
+        ForecastSet(method="fstar", node_ids=hier.node_ids,
+                    timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
+                    values=np.zeros((1, hier.M))).write_csv(base)
+        return main([
+            "reconcile",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--base", str(base), "--methods", methods,
+            "--split", "100", "--out-dir", str(tmp_path / "rec"),
+        ])
+
+    def test_fp_on_zero_base_is_numeric_error(self, dataset, tmp_path, capsys):
+        assert self._reconcile_zero_base(dataset, tmp_path, "fp") == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NumericError" and err["exit_code"] == 4
+        assert "FP proportions undefined" in err["message"]
+
+    def test_linalg_error_exits_4(self, dataset, tmp_path, capsys,
+                                  monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "mint_reconcile", singular)
+        assert self._reconcile_zero_base(dataset, tmp_path, "mint") == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "LinAlgError", "message": "Singular matrix",
+                       "exit_code": 4}
 
 
 def _with_cell(src, dst, column, token="abc"):
@@ -214,7 +261,7 @@ class TestNonNumericCells:
         base = tmp_path / "base.csv"
         ForecastSet(method="fstar", node_ids=hier.node_ids,
                     timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
-                    values=np.zeros((1, hier.M)), kind="base").write_csv(base)
+                    values=np.zeros((1, hier.M))).write_csv(base)
         bad = tmp_path / "errors.csv"
         bad.write_text("timestamp,node_id,error\n2015-01-05,total,abc\n")
         code = main([
@@ -225,11 +272,11 @@ class TestNonNumericCells:
         ])
         self._assert_data_error(code, capsys, bad)
 
-    def _zero_forecasts(self, dataset, path, method="bu", kind="coherent"):
+    def _zero_forecasts(self, dataset, path, method="bu"):
         hier = load_hierarchy(dataset / "hierarchy.csv")
         ForecastSet(method=method, node_ids=hier.node_ids,
                     timestamps=np.array(["2015-04-15"], dtype="datetime64[s]"),
-                    values=np.zeros((1, hier.M)), kind=kind).write_csv(path)
+                    values=np.zeros((1, hier.M))).write_csv(path)
         return path
 
     def test_observation_empty_timestamp(self, dataset, tmp_path, capsys):
@@ -246,7 +293,7 @@ class TestNonNumericCells:
     def test_error_matrix_without_timestamp_column(self, dataset, tmp_path,
                                                    capsys):
         base = self._zero_forecasts(dataset, tmp_path / "base.csv",
-                                    method="fstar", kind="base")
+                                    method="fstar")
         bad = tmp_path / "errors.csv"
         bad.write_text("node_id,error\ntotal,1.0\n")
         code = main([
@@ -339,6 +386,22 @@ class TestEvaluate:
         assert str(rec / "bu.csv") in err["message"]
         assert "covers 7 steps" in err["message"]
         assert "horizon 5" in err["message"]
+
+    def test_unknown_metric_is_config_error(self, dataset, tmp_path, capsys):
+        rec = self._reconciled(dataset, tmp_path)
+        code = main([
+            "evaluate",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--metric", "bogus",
+            "--forecasts", str(rec / "bu.csv"),
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["exit_code"] == 2
+        assert "'bogus'" in err["message"]
+        assert not (tmp_path / "eval").exists()
 
 
 class TestNndCommand:
@@ -458,11 +521,13 @@ def test_fetch_italian_bad_input_is_data_error(tmp_path, capsys, text, where):
     src = tmp_path / "missing.csv"
     if text is not None:
         src.write_text(text)
-    argv = ["fetch-italian", "--out", str(tmp_path / "it"), "--url", src.as_uri()]
+    out = tmp_path / "it"
+    argv = ["fetch-italian", "--out", str(out), "--url", src.as_uri()]
     assert main(argv) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DataError" and err["exit_code"] == 3
     assert where in err["message"]
+    assert not out.exists()
 
 
 def test_fetch_italian_from_file_url(tmp_path):

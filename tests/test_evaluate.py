@@ -154,6 +154,12 @@ class TestCV:
         with pytest.raises(ConfigError):
             expanding_window_cv(np.arange(20.0), None, Naive, cfg)
 
+    def test_unknown_metric_is_config_error(self):
+        cfg = CVConfig(starting_window=10, ending_window=12, horizon=2)
+        with pytest.raises(ConfigError, match="unknown metric 'bogus'"):
+            expanding_window_cv(np.arange(20.0), None, Naive, cfg,
+                                metric="bogus")
+
 
 class TestChi2:
     def test_df2_closed_form(self):

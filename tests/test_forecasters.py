@@ -6,6 +6,7 @@ from hiercast import (Arx, CombCls, CombMean, ConfigError, CVConfig, Ets,
                       combine_mean, expanding_window_cv, project_simplex,
                       select_model)
 from hiercast import kernels
+from hiercast.forecasters import _lags
 from hiercast.errors import DataError, NumericError
 
 
@@ -23,6 +24,17 @@ class TestNaive:
     def test_empty_series_rejected(self):
         with pytest.raises(DataError):
             Naive().fit([])
+
+
+@pytest.mark.parametrize("p", range(1, 15))
+def test_lag_matrix_matches_loops(p):
+    """``_lags`` against the loops ``Arx._ls_fit`` (per lag) and
+    ``Narx.fit`` (per row) built the same matrix with."""
+    z = np.random.default_rng(p).standard_normal(40)
+    per_lag = np.column_stack([z[p - lag:len(z) - lag] for lag in range(1, p + 1)])
+    per_row = np.stack([z[t - p:t][::-1] for t in range(p, len(z))])
+    assert np.array_equal(_lags(z, p), per_lag)
+    assert np.array_equal(_lags(z, p), per_row)
 
 
 class TestArx:

@@ -65,6 +65,14 @@ class TestMakeWindows:
         wins2, _ = make_windows(spiked, WindowConfig(w=4))
         assert np.array_equal(wins[0], wins2[0])
 
+    @pytest.mark.parametrize("w", [1, 3, 30])
+    @pytest.mark.parametrize("hop", [1, 2, 5])
+    def test_matches_slice_per_target(self, w, hop):
+        y = np.random.default_rng(w * hop).standard_normal(61)
+        wins, targets = make_windows(y, WindowConfig(w=w, hop=hop))
+        assert np.array_equal(wins, np.stack([y[t - w + 1:t + 1] for t in targets]))
+        assert wins.flags.c_contiguous and wins.flags.writeable
+
     def test_too_short_rejected(self):
         with pytest.raises(DataError):
             make_windows([1, 2], WindowConfig(w=3))
