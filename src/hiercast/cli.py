@@ -22,15 +22,11 @@ from .evaluate import CVConfig, EvalReport, nemenyi_svg, scorer
 from .forecasters import default_candidates, select_model
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, coherence_violation,
-                        format_timestamp, load_hierarchy, load_panel,
-                        pivot_long, read_long_csv, timestamps_are_dates,
-                        _parse_ts)
+                        format_timestamp, load_error_matrix, load_hierarchy,
+                        load_panel, timestamps_are_dates, _parse_ts)
 from .nnd import (ArchConfig, NndConfig, WindowConfig, feature_matrix,
                   nnd_iterative_topdown, nnd_middle_out, nnd_standard_topdown)
-from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
-                        middle_out, mint_reconcile, proportions_ahp,
-                        proportions_fp, proportions_pha,
-                        shrinkage_covariance)
+from .reconcile import METHODS, reconcile
 from .seeding import derive_seed
 from .synthetic import GeneratorSpec, write_dataset
 
@@ -46,8 +42,6 @@ EXIT_CODES = {ConfigError: 2, DataError: 3, NumericError: 4,
 # ---------------------------------------------------------------------------
 
 def _bool(token):
-    if isinstance(token, bool):
-        return token
     t = str(token).strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
@@ -69,6 +63,22 @@ def _str_list(token):
     if not items:
         raise ConfigError(f"{token!r} lists no names")
     return items
+
+
+def _methods(token):
+    names = [m.lower() for m in _str_list(token)]
+    for m in names:
+        if m not in METHODS:
+            raise ConfigError(f"unknown reconciliation method {m!r} "
+                              f"(choose from {', '.join(METHODS)})")
+    return names
+
+
+def _unit_float(token):
+    x = float(token)
+    if not 0.0 <= x <= 1.0:
+        raise ConfigError(f"{x} lies outside [0, 1]")
+    return x
 
 
 def load_config_file(path):
@@ -239,86 +249,26 @@ def cmd_forecast(cfg):
 # reconcile
 # ---------------------------------------------------------------------------
 
-def _base_matrix(fs, hier):
-    """Base forecast columns reordered to canonical hierarchy order."""
-    return np.column_stack([fs.column(n) for n in hier.node_ids])
-
-
-def _load_error_matrix(path, hier):
-    table = read_long_csv(path, ("node_id",), "error")
-    return pivot_long(path, table, np.unique(table.instants),
-                      [(n,) for n in hier.node_ids], "error")
-
-
-def _historical_subtree_proportions(panel, node_id):
-    """Bottom proportions within a subtree from historical leaf means."""
-    hier = panel.hierarchy
-    leaves = hier.descendants_at_bottom(node_id)
-    means = np.array([panel.series(n).mean() for n in leaves])
-    total = means.sum()
-    if total == 0:
-        raise DataError(
-            f"cannot derive middle-out proportions under {node_id!r}: "
-            "zero historical mean"
-        )
-    return means / total
-
-
 def cmd_reconcile(cfg):
     hier, panel = _load_inputs(cfg)
     S = build_summing_matrix(hier)
     fs = read_forecast_set(_require_file(cfg["base"], "base forecast"))
-    base = _base_matrix(fs, hier)
+    base = np.column_stack([fs.column(n) for n in hier.node_ids])
     hist = (panel if cfg["split"] is None
             else panel.slice_rows(0, _split_index(cfg, panel)))
+    methods, errors = cfg["methods"], None
+    if cfg["errors"] is not None and any("errors" in METHODS[m] for m in methods):
+        errors = load_error_matrix(_require_file(cfg["errors"], "errors"), hier)
+    outputs = {m: reconcile(m, S, hier, base, hist, cfg["middle_level"],
+                            errors, cfg["shrinkage"]) for m in methods}
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-
-    top = base[:, hier.index(hier.root_id)]
-    leaves = set(hier.bottom_ids)
-    bottom_cols = [j for j, n in enumerate(hier.node_ids) if n in leaves]
-    outputs = {}
-    for method in (m.lower() for m in cfg["methods"]):
-        if method == "bu":
-            outputs["bu"] = bottom_up(S, base[:, bottom_cols])
-        elif method == "ahp":
-            outputs["ahp"] = apply_topdown(S, proportions_ahp(hist), top)
-        elif method == "pha":
-            outputs["pha"] = apply_topdown(S, proportions_pha(hist), top)
-        elif method == "fp":
-            bottom = np.empty((base.shape[0], S.m_bottom))
-            for t in range(base.shape[0]):
-                bottom[t] = top[t] * proportions_fp(base, hier, t)
-            outputs["fp"] = bottom @ S.entries.T
-        elif method == "mo":
-            level = cfg["middle_level"]
-            mids = hier.level_ids(level)
-            mid_fc = np.column_stack([fs.column(n) for n in mids])
-            props = {n: _historical_subtree_proportions(hist, n) for n in mids}
-            outputs["mo"] = middle_out(hier, S, level, mid_fc, props)
-        elif method == "mint":
-            if cfg["errors"] is not None:
-                E = _load_error_matrix(_require_file(cfg["errors"], "errors"), hier)
-                cov = shrinkage_covariance(E, cfg["shrinkage"])
-            else:
-                cov = ErrorCovariance(W=np.eye(hier.M), lam=1.0)
-            outputs["mint"] = mint_reconcile(S, base, cov)
-        else:
-            raise ConfigError(
-                f"unknown reconciliation method {method!r} "
-                "(choose from bu, ahp, pha, fp, mo, mint)"
-            )
-
     for method, values in outputs.items():
         gap = coherence_violation(S, values)
         if gap > 1e-9:
-            raise NumericError(
-                f"{method} output violates coherence by {gap:.3g}"
-            )
-        ForecastSet(
-            method=method, node_ids=tuple(hier.node_ids),
-            timestamps=fs.timestamps, values=values,
-        ).write_csv(os.path.join(out_dir, f"{method}.csv"))
+            raise NumericError(f"{method} output violates coherence by {gap:.3g}")
+        ForecastSet(method, hier.node_ids, fs.timestamps,
+                    values).write_csv(os.path.join(out_dir, f"{method}.csv"))
     print(f"wrote {len(outputs)} coherent forecast sets to {out_dir}")
     return 0
 
@@ -671,8 +621,8 @@ COMMANDS = {
     "reconcile": (cmd_reconcile, "reconcile base forecasts", [
         *_INPUTS, ("base", str, REQUIRED), ("split", str, None),
         ("errors", str, None), _OUT_DIR,
-        ("methods", _str_list, ("bu", "ahp", "pha", "fp")), _MIDDLE_LEVEL,
-        ("shrinkage", float, None),
+        ("methods", _methods, ("bu", "ahp", "pha", "fp")), _MIDDLE_LEVEL,
+        ("shrinkage", _unit_float, None),
     ]),
     "nnd": (cmd_nnd, "neural-network disaggregation end to end", [
         *_INPUTS, _SPLIT, ("strategy", str, "nnd2"), _OUT_DIR, _HORIZON,

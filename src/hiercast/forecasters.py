@@ -15,10 +15,6 @@ from . import kernels, neuralnet
 from .errors import ConfigError, DataError, NumericError
 from .evaluate import CVConfig, expanding_window_cv
 
-# canonical tie-breaking order for model selection
-ORDER = {"naive": 0, "snaive": 1, "arx": 2, "ets": 3, "narx": 4,
-         "comb_mean": 5, "comb_cls": 6}
-
 _ETS_GRID = np.round(np.arange(0.1, 1.0001, 0.1), 10)
 # every (alpha, beta[, gamma]) combination, alpha-major like nested loops
 _HOLT_GRID = tuple(g.ravel() for g in np.meshgrid(_ETS_GRID, _ETS_GRID,
@@ -472,7 +468,8 @@ def default_candidates(m_season=7, narx_seed=0, include_narx=True,
 
 def select_model(y, X, candidates, cv: CVConfig, m_season=1):
     """Pick the candidate with lowest expanding-window mean MASE, refit it
-    on the full series, and return (fitted_model, kind, mean_score)."""
+    on the full series, and return (fitted_model, kind, mean_score).  A tie
+    goes to the candidate listed first."""
     if not candidates:
         raise ConfigError("no candidates given")
     results = []
@@ -484,10 +481,9 @@ def select_model(y, X, candidates, cv: CVConfig, m_season=1):
             )
         except (NumericError, DataError):
             continue
-        results.append((score, ORDER.get(proto.kind, 99), idx, proto))
+        results.append((score, idx, proto))
     if not results:
         raise NumericError("all model candidates failed cross-validation")
-    results.sort(key=lambda r: (r[0], r[1], r[2]))
-    score, _, _, proto = results[0]
+    score, _, proto = min(results, key=lambda r: r[:2])
     fitted = copy.deepcopy(proto).fit(y, X)
     return fitted, proto.kind, score

@@ -433,6 +433,13 @@ def pivot_long(path, table: LongTable, timestamps, keys, what):
     return np.array(cells, dtype=float).reshape(len(timestamps), width)
 
 
+def load_error_matrix(path, hierarchy):
+    """The (timestamps, M) matrix of a long-format errors CSV."""
+    table = read_long_csv(path, ("node_id",), "error")
+    return pivot_long(path, table, np.unique(table.instants),
+                      [(n,) for n in hierarchy.node_ids], "error")
+
+
 def load_panel(hierarchy, obs_path, exog_path=None,
                calendar=_CAL_DEFAULT) -> SeriesPanel:
     """Read long-format observation (and optional exogenous) CSVs.

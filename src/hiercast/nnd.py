@@ -54,6 +54,10 @@ class NndConfig:
     seed: int = 0
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
+
 
 @dataclass
 class DisaggregationModel:
@@ -191,10 +195,8 @@ def _train_models(panel, parents_children, cfg, n_train):
 
     if cfg.jobs > 1 and len(parents_children) > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = dict(pool.map(job, parents_children))
-    else:
-        results = dict(job(pair) for pair in parents_children)
-    return results
+            return dict(pool.map(job, parents_children))
+    return dict(job(pair) for pair in parents_children)
 
 
 @dataclass
@@ -203,11 +205,6 @@ class NndResult:
     models: dict                # parent_id -> DisaggregationModel
     raw_violations: dict        # parent_id -> scale-normalized raw gap
     root_forecast: np.ndarray
-
-
-def _publish(panel, bottom_values):
-    S = build_summing_matrix(panel.hierarchy)
-    return aggregate(S, bottom_values)
 
 
 def _pairs_below(hier, level):
@@ -249,7 +246,7 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
             forecasts[child] = child_fc[:, j]
     bottom = np.column_stack([forecasts[n] for n in hier.bottom_ids])
     return NndResult(
-        values=_publish(panel, bottom),
+        values=aggregate(build_summing_matrix(hier), bottom),
         models=models,
         raw_violations=violations,
         root_forecast=forecasts.get(hier.root_id, np.zeros(h)),

@@ -1,21 +1,23 @@
 """Classical coherent-forecast baselines: bottom-up, historical-proportion
 top-down (AHP/PHA), forecasted proportions, middle-out, and minimum-trace
-reconciliation with shrinkage covariance."""
+reconciliation with shrinkage covariance.  ``reconcile`` runs any of them
+by its name in ``METHODS``."""
 
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .hierarchy import Hierarchy, SummingMatrix, aggregate
 
 
 def _check_proportions(p, m):
+    """p: one proportion vector (m,) or one per row (H, m)."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (m,):
+    if p.ndim not in (1, 2) or p.shape[-1] != m:
         raise DataError(f"proportion vector has shape {p.shape}, expected ({m},)")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
         raise DataError("proportions must be nonnegative and sum to one")
     return np.maximum(p, 0.0)
 
@@ -54,43 +56,60 @@ def proportions_pha(panel) -> np.ndarray:
     return bottom.mean(axis=0) / total_mean
 
 
-def proportions_fp(base_forecasts, hierarchy: Hierarchy, step) -> np.ndarray:
-    """Per-step proportions from base forecasts, as nested sibling shares.
+def _historical_subtree_proportions(panel, node_id):
+    """Bottom proportions within a subtree from historical leaf means."""
+    leaves = panel.hierarchy.descendants_at_bottom(node_id)
+    means = np.array([panel.series(n).mean() for n in leaves])
+    total = means.sum()
+    if total == 0:
+        raise DataError(
+            f"cannot derive middle-out proportions under {node_id!r}: "
+            "zero historical mean"
+        )
+    return means / total
+
+
+def proportions_fp(base_forecasts, hierarchy: Hierarchy) -> np.ndarray:
+    """Per-step proportions (H, m_bottom) from base forecasts, as nested
+    sibling shares.
 
     base_forecasts: (H, M) matrix over all nodes in canonical order.  The
     share of each node is its base forecast divided by the sum over its
     siblings; the bottom proportion is the product of shares along the path
-    from level 1 down.  Sums to one by construction.
+    from level 1 down.  Each row sums to one by construction.
     """
     base = np.atleast_2d(np.asarray(base_forecasts, dtype=float))
     if base.shape[1] != hierarchy.M:
         raise DataError(
             f"base forecasts have {base.shape[1]} columns, expected {hierarchy.M}"
         )
-    row = base[step]
-    share = {hierarchy.root_id: 1.0}
+    share = {hierarchy.root_id: np.ones(len(base))}
     for node_id in hierarchy.node_ids:
         kids = hierarchy.children(node_id)
         if not kids:
             continue
-        sib_sum = sum(row[hierarchy.index(c)] for c in kids)
-        if sib_sum == 0:
+        cols = [base[:, hierarchy.index(c)] for c in kids]
+        sib_sum = sum(cols)
+        zero = np.flatnonzero(sib_sum == 0)
+        if zero.size:
             raise NumericError(
                 f"FP proportions undefined: children of {node_id!r} have zero "
-                f"base-forecast sum at step {step}"
+                f"base-forecast sum at step {zero[0]}"
             )
-        for c in kids:
-            share[c] = share[node_id] * row[hierarchy.index(c)] / sib_sum
-    p = np.array([share[n] for n in hierarchy.bottom_ids])
-    return _check_proportions(p, len(p))
+        for c, col in zip(kids, cols):
+            share[c] = share[node_id] * col / sib_sum
+    p = np.column_stack([share[n] for n in hierarchy.bottom_ids])
+    return _check_proportions(p, p.shape[1])
 
 
 def apply_topdown(S: SummingMatrix, p, top_forecast) -> np.ndarray:
-    """Distribute the top forecast over the bottom via p and aggregate."""
+    """Distribute the top forecast over the bottom via p, one proportion
+    vector (m_bottom,) for every step or one per step (H, m_bottom)."""
     p = _check_proportions(p, S.m_bottom)
     top = np.asarray(top_forecast, dtype=float).ravel()
-    bottom = np.outer(top, p)
-    return aggregate(S, bottom)
+    if p.ndim == 2 and len(p) != len(top):
+        raise DataError(f"{len(p)} proportion rows for {len(top)} steps")
+    return aggregate(S, top[:, None] * p)
 
 
 def middle_out(hierarchy: Hierarchy, S: SummingMatrix, middle_level,
@@ -99,7 +118,7 @@ def middle_out(hierarchy: Hierarchy, S: SummingMatrix, middle_level,
 
     middle_forecasts: (H, m_k) base forecasts for the middle-level nodes in
     canonical order; proportions: node_id -> proportion vector over that
-    node's bottom descendants.
+    node's bottom descendants (not needed for a node with one leaf).
     """
     if not 0 <= middle_level <= hierarchy.K - 1:
         raise DataError(f"middle level {middle_level} outside hierarchy")
@@ -110,18 +129,13 @@ def middle_out(hierarchy: Hierarchy, S: SummingMatrix, middle_level,
             f"expected {len(mids)} middle-level forecast columns, "
             f"got {middle_forecasts.shape[1]}"
         )
-    H = middle_forecasts.shape[0]
     col_of = {n: j for j, n in enumerate(S.col_index)}
-    bottom = np.zeros((H, S.m_bottom))
+    bottom = np.zeros((middle_forecasts.shape[0], S.m_bottom))
     for j, node_id in enumerate(mids):
         leaves = hierarchy.descendants_at_bottom(node_id)
-        if len(leaves) == 1 and leaves[0] == node_id:
-            bottom[:, col_of[node_id]] = middle_forecasts[:, j]
-            continue
-        p = _check_proportions(proportions[node_id], len(leaves))
-        sub = np.outer(middle_forecasts[:, j], p)
-        for c, leaf in enumerate(leaves):
-            bottom[:, col_of[leaf]] = sub[:, c]
+        p = proportions[node_id] if len(leaves) > 1 else [1.0]
+        p = _check_proportions(p, len(leaves))
+        bottom[:, [col_of[n] for n in leaves]] = np.outer(middle_forecasts[:, j], p)
     return aggregate(S, bottom)
 
 
@@ -210,3 +224,39 @@ def mint_reconcile(S: SummingMatrix, base_forecasts, cov: ErrorCovariance) -> np
         raise NumericError("S'W^-1S is not positive definite") from None
     bottom = np.linalg.solve(A, rhs.T).T
     return aggregate(S, bottom)
+
+
+# method -> what it reads besides S, the hierarchy and the base forecasts
+METHODS = {"bu": (), "ahp": ("history",), "pha": ("history",), "fp": (),
+           "mo": ("history", "middle_level"), "mint": ("errors", "shrinkage")}
+
+
+def reconcile(method, S: SummingMatrix, hierarchy: Hierarchy, base, history,
+              middle_level=1, errors=None, shrinkage=None) -> np.ndarray:
+    """Coherent (H, M) forecasts from base forecasts (H, M) in canonical
+    order by ``method``, a key of ``METHODS``.  history: the panel AHP, PHA
+    and middle-out take proportions from; errors: (n, M) base-forecast
+    errors for MinT's shrinkage covariance (identity W when None)."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown reconciliation method {method!r} "
+                          f"(choose from {', '.join(METHODS)})")
+    base = np.atleast_2d(np.asarray(base, dtype=float))
+
+    def cols(ids):
+        return base[:, [hierarchy.index(n) for n in ids]]
+
+    if method == "bu":
+        return bottom_up(S, cols(hierarchy.bottom_ids))
+    if method == "mo":
+        mids = hierarchy.level_ids(middle_level)
+        props = {n: _historical_subtree_proportions(history, n) for n in mids}
+        return middle_out(hierarchy, S, middle_level, cols(mids), props)
+    if method == "mint":
+        cov = (ErrorCovariance(W=np.eye(hierarchy.M), lam=1.0) if errors is None
+               else shrinkage_covariance(errors, shrinkage))
+        return mint_reconcile(S, base, cov)
+    if method == "fp":
+        p = proportions_fp(base, hierarchy)
+    else:
+        p = proportions_ahp(history) if method == "ahp" else proportions_pha(history)
+    return apply_topdown(S, p, base[:, hierarchy.index(hierarchy.root_id)])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hiercast import Hierarchy, SeriesPanel, build_summing_matrix
 from hiercast import neuralnet
@@ -19,6 +20,25 @@ def make_hierarchy(children_per_level):
                 nxt.append(nid)
         frontier = nxt
     return Hierarchy.from_nodes(nodes)
+
+
+@st.composite
+def uneven_trees(draw):
+    """2-4 levels, 1-4 children per interior node; ids are drawn so that
+    canonical order is not the order of creation."""
+    nodes, frontier = [(None, 0)], [0]
+    for level in range(1, draw(st.integers(1, 3)) + 1):
+        nxt = []
+        for parent in frontier:
+            for _ in range(draw(st.integers(1, 4))):
+                nxt.append(len(nodes))
+                nodes.append((parent, level))
+        frontier = nxt
+    names = draw(st.permutations([f"n{i:03d}" for i in range(len(nodes))]))
+    return Hierarchy.from_nodes(
+        (names[i], None if p is None else names[p], lv)
+        for i, (p, lv) in enumerate(nodes)
+    )
 
 
 def panel_from_bottom(hier, bottom, start="2015-01-05", exog=None, calendar=()):

@@ -17,12 +17,13 @@ from hiercast import (ArchConfig, CVConfig, ErrorCovariance, Ets,
                       GeneratorSpec, Hierarchy, Naive, NndConfig,
                       SeasonalNaive, WindowConfig, aggregate, apply_topdown,
                       bottom_up, build_summing_matrix, cls_weights,
-                      coherence_violation, generate, mase, middle_out,
-                      mint_reconcile, nemenyi_test, nnd_iterative_topdown,
+                      coherence_violation, generate, mase, mint_reconcile,
+                      nemenyi_test, nnd_iterative_topdown,
                       nnd_standard_topdown, proportions_ahp, proportions_fp,
                       proportions_pha, select_model, shrinkage_covariance,
                       smape)
 from hiercast import friedman_test
+from hiercast.reconcile import METHODS, reconcile
 from hiercast.cli import ITALIAN_URL, main as cli_main
 from hiercast.neuralnet import TrainConfig
 
@@ -74,29 +75,11 @@ class TestCriterion1Coherence:
         for i in range(100):
             hier, panel, S, base, n_train, h = _random_instance(rng)
             hist = panel.slice_rows(0, n_train)
-            top = base[:, hier.index(hier.root_id)]
-            bcols = [hier.index(n) for n in hier.bottom_ids]
-            outs = [
-                bottom_up(S, base[:, bcols]),
-                apply_topdown(S, proportions_ahp(hist), top),
-                apply_topdown(S, proportions_pha(hist), top),
-            ]
-            fp_bottom = np.stack([top[t] * proportions_fp(base, hier, t)
-                                  for t in range(h)])
-            outs.append(aggregate(S, fp_bottom))
-            # middle-out at the last interior level
-            mlevel = hier.K - 2
-            mids = hier.level_ids(mlevel)
-            mid_fc = base[:, [hier.index(n) for n in mids]]
-            props = {}
-            for n in mids:
-                leaves = hier.descendants_at_bottom(n)
-                means = np.array([hist.series(x).mean() for x in leaves])
-                props[n] = means / means.sum()
-            outs.append(middle_out(hier, S, mlevel, mid_fc, props))
+            # every classical method; middle-out at the last interior level,
             # MinT with shrinkage covariance from synthetic residuals
             E = rng.standard_normal((40, hier.M))
-            outs.append(mint_reconcile(S, base, shrinkage_covariance(E)))
+            outs = [reconcile(m, S, hier, base, hist, hier.K - 2, E)
+                    for m in METHODS]
             # NND1 + NND2 (trained briefly; coherence is structural)
             cfg = _tiny_nnd_cfg(seed=i)
             outs.append(nnd_standard_topdown(panel, n_train, h, cfg,
@@ -167,7 +150,7 @@ class TestCriterion3Oracles:
         for node, v in [("total", 1.0), ("a", 6.0), ("b", 4.0),
                         ("a0", 1.0), ("a1", 2.0), ("b0", 3.0), ("b1", 5.0)]:
             row[three.index(node)] = v
-        fp = proportions_fp(row[None, :], three, 0)
+        fp = proportions_fp(row[None, :], three)[0]
         checks.append(np.abs(fp - [0.2, 0.4, 0.15, 0.25]).max() <= 1e-9)
 
         checks.append(

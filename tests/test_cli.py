@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
-from hiercast import cli
+from hiercast import cli, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
 
@@ -163,7 +163,7 @@ class TestReconcile:
         err = json.loads(capsys.readouterr().err)
         assert "magic" in err["message"]
 
-    def _reconcile_zero_base(self, dataset, tmp_path, methods):
+    def _reconcile_zero_base(self, dataset, tmp_path, methods, *extra):
         hier = load_hierarchy(dataset / "hierarchy.csv")
         base = tmp_path / "base.csv"
         ForecastSet(method="fstar", node_ids=hier.node_ids,
@@ -174,8 +174,49 @@ class TestReconcile:
             "--hierarchy", str(dataset / "hierarchy.csv"),
             "--observations", str(dataset / "observations.csv"),
             "--base", str(base), "--methods", methods,
-            "--split", "100", "--out-dir", str(tmp_path / "rec"),
+            "--split", "100", "--out-dir", str(tmp_path / "rec"), *extra,
         ])
+
+    @pytest.mark.parametrize("level", ["5", "-1"])
+    def test_middle_level_outside_hierarchy_is_data_error(
+            self, dataset, tmp_path, capsys, level):
+        code = self._reconcile_zero_base(dataset, tmp_path, "bu,mo",
+                                         "--middle-level", level)
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == f"middle level {level} outside hierarchy"
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("with_errors", [False, True])
+    @pytest.mark.parametrize("value", ["2", "-0.5"])
+    def test_shrinkage_outside_unit_interval_is_config_error(
+            self, dataset, tmp_path, capsys, with_errors, value):
+        errors = tmp_path / "errors.csv"
+        errors.write_text("timestamp,node_id,error\n")
+        extra = ["--errors", str(errors)] if with_errors else []
+        code = self._reconcile_zero_base(dataset, tmp_path, "mint",
+                                         "--shrinkage", value, *extra)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "'shrinkage'" in err["message"] and "[0, 1]" in err["message"]
+        assert not (tmp_path / "rec").exists()
+
+    def test_unknown_method_checked_before_inputs_are_read(self, tmp_path,
+                                                           capsys):
+        code = main([
+            "reconcile", "--hierarchy", str(tmp_path / "missing.csv"),
+            "--observations", str(tmp_path / "missing.csv"),
+            "--base", str(tmp_path / "missing.csv"), "--methods", "bu,xyz",
+            "--out-dir", str(tmp_path / "rec"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].endswith(
+            "unknown reconciliation method 'xyz' "
+            f"(choose from {', '.join(reconcile.METHODS)})")
 
     def test_fp_on_zero_base_is_numeric_error(self, dataset, tmp_path, capsys):
         assert self._reconcile_zero_base(dataset, tmp_path, "fp") == 4
@@ -188,7 +229,7 @@ class TestReconcile:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(cli, "mint_reconcile", singular)
+        monkeypatch.setattr(reconcile, "mint_reconcile", singular)
         assert self._reconcile_zero_base(dataset, tmp_path, "mint") == 4
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "LinAlgError", "message": "Singular matrix",
@@ -424,6 +465,22 @@ class TestNndCommand:
         assert set(diags["raw_violations"]) == {"total", "g00", "g01"}
         assert (out_dir / "models" / "total.net").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_config_error(self, dataset, tmp_path, capsys,
+                                            jobs):
+        out_dir = tmp_path / "nnd"
+        code = main([
+            "nnd",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--window", "7", "--epochs", "1",
+            "--jobs", jobs, "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "jobs" in err["message"]
+        assert not out_dir.exists()
+
     def test_unknown_strategy(self, dataset, tmp_path):
         code = main([
             "nnd",
@@ -462,6 +519,8 @@ BAD_VALUES = [
     ("forecast", "horizon", "abc"),                # int
     ("nnd", "alpha", "x"),                         # float
     ("synth", "children_per_level", "a,b"),        # _int_list
+    ("reconcile", "methods", "bu,xyz"),            # _methods
+    ("reconcile", "shrinkage", "2"),               # _unit_float
 ]
 REQUIRED_ARGS = {
     "forecast": ["--hierarchy", "h.csv", "--observations", "o.csv",
@@ -469,6 +528,8 @@ REQUIRED_ARGS = {
     "nnd": ["--hierarchy", "h.csv", "--observations", "o.csv",
             "--split", "10", "--out-dir", "nnd"],
     "synth": ["--out", "data"],
+    "reconcile": ["--hierarchy", "h.csv", "--observations", "o.csv",
+                  "--base", "b.csv", "--out-dir", "rec"],
 }
 
 

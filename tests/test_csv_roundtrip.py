@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hiercast import Hierarchy, SeriesPanel, build_summing_matrix, load_panel
-from hiercast.cli import _load_error_matrix
 from hiercast.forecastset import ForecastSet, read_forecast_set
-from hiercast.hierarchy import (format_timestamp, timestamps_are_dates,
-                                write_exog, write_observations)
+from hiercast.hierarchy import (format_timestamp, load_error_matrix,
+                                timestamps_are_dates, write_exog,
+                                write_observations)
 
 VARIABLES = ("price", "promo", "temp")
 
@@ -106,7 +106,7 @@ def test_long_format_round_trip(hier, seed, T, daily, error_col):
 
         got = load_panel(hier, obs, ex, calendar=())
         got_fs = read_forecast_set(fc)
-        got_errors = _load_error_matrix(err, hier)
+        got_errors = load_error_matrix(err, hier)
 
     assert np.array_equal(got.timestamps, ts)
     for node_id in hier.node_ids:

@@ -263,6 +263,15 @@ class TestSelectModel:
         )
         assert kind == "naive"
 
+    def test_tie_goes_to_first_listed_candidate(self, rng):
+        # seasonal naive with period 1 forecasts exactly like naive
+        y = np.cumsum(rng.standard_normal(60))
+        for cands, first in (([SeasonalNaive(1), Naive()], "snaive"),
+                             ([Naive(), SeasonalNaive(1)], "naive")):
+            _, kind, _ = select_model(y, None, cands, self._cv(len(y)),
+                                      m_season=7)
+            assert kind == first
+
     def test_single_candidate(self):
         y = np.arange(60.0)
         fitted, kind, _ = select_model(y, None, [Naive()], self._cv(len(y)),

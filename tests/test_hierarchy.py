@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from hiercast import (DataError, Hierarchy, SeriesPanel, aggregate,
                       build_summing_matrix, calendar_matrix,
                       coherence_violation, load_hierarchy, load_panel)
 from hiercast.hierarchy import write_exog, write_hierarchy, write_observations
 
-from conftest import make_hierarchy, panel_from_bottom
+from conftest import make_hierarchy, panel_from_bottom, uneven_trees
 
 
 def two_level():
@@ -85,25 +84,6 @@ class TestSummingMatrix:
             Hierarchy.from_nodes(
                 [("total", None, 0), ("dup", "total", 1), ("dup", "total", 1)]
             )
-
-
-@st.composite
-def uneven_trees(draw):
-    """2-4 levels, 1-4 children per interior node; ids are drawn so that
-    canonical order is not the order of creation."""
-    nodes, frontier = [(None, 0)], [0]
-    for level in range(1, draw(st.integers(1, 3)) + 1):
-        nxt = []
-        for parent in frontier:
-            for _ in range(draw(st.integers(1, 4))):
-                nxt.append(len(nodes))
-                nodes.append((parent, level))
-        frontier = nxt
-    names = draw(st.permutations([f"n{i:03d}" for i in range(len(nodes))]))
-    return Hierarchy.from_nodes(
-        (names[i], None if p is None else names[p], lv)
-        for i, (p, lv) in enumerate(nodes)
-    )
 
 
 class TestLookups:

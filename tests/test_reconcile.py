@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiercast import reconcile
-from hiercast import (DataError, ErrorCovariance, Hierarchy, NumericError,
+from hiercast import (ConfigError, DataError, ErrorCovariance, Hierarchy,
+                      NumericError,
                       aggregate, apply_topdown, bottom_up,
                       build_summing_matrix, coherence_violation, middle_out,
                       mint_reconcile, proportions_ahp, proportions_fp,
                       proportions_pha, shrinkage_covariance)
 
-from conftest import make_hierarchy, panel_from_bottom
+from conftest import make_hierarchy, panel_from_bottom, uneven_trees
 
 
 def two_level():
@@ -92,7 +95,7 @@ class TestForecastedProportions:
         h = two_level()
         for top in (1.0, 100.0):
             base = np.array([[top, 2.0, 3.0]])
-            assert np.allclose(proportions_fp(base, h, 0), [0.4, 0.6])
+            assert np.allclose(proportions_fp(base, h)[0], [0.4, 0.6])
 
     def test_three_level_nested_shares(self):
         h = three_level()
@@ -100,29 +103,36 @@ class TestForecastedProportions:
         for node, v in [("total", 99.0), ("a", 6.0), ("b", 4.0),
                         ("a0", 1.0), ("a1", 2.0), ("b0", 3.0), ("b1", 5.0)]:
             row[h.index(node)] = v
-        p = proportions_fp(row[None, :], h, 0)
+        p = proportions_fp(row[None, :], h)[0]
         assert np.allclose(p, [0.2, 0.4, 0.15, 0.25])
 
     def test_identical_bases_give_uniform_sibling_shares(self):
         h = three_level()
-        p = proportions_fp(np.full((1, h.M), 3.0), h, 0)
+        p = proportions_fp(np.full((1, h.M), 3.0), h)[0]
         assert np.allclose(p, 0.25)
 
     def test_per_step_proportions_differ(self):
         h = two_level()
         base = np.array([[9.0, 2.0, 3.0], [9.0, 4.0, 1.0]])
-        assert np.allclose(proportions_fp(base, h, 0), [0.4, 0.6])
-        assert np.allclose(proportions_fp(base, h, 1), [0.8, 0.2])
+        assert np.allclose(proportions_fp(base, h), [[0.4, 0.6], [0.8, 0.2]])
 
     def test_zero_sibling_sum_names_node_and_step(self):
         h = two_level()
         base = np.array([[9.0, 0.0, 0.0]])
         with pytest.raises(NumericError, match="total.*step 0"):
-            proportions_fp(base, h, 0)
+            proportions_fp(base, h)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DataError):
-            proportions_fp(np.ones((1, 5)), two_level(), 0)
+            proportions_fp(np.ones((1, 5)), two_level())
+
+    def test_zero_sum_error_names_first_node_then_its_first_step(self):
+        h = three_level()
+        base = np.ones((3, h.M))
+        base[2, [h.index("a0"), h.index("a1")]] = 0.0
+        base[1, [h.index("b0"), h.index("b1")]] = 0.0
+        with pytest.raises(NumericError, match="'a'.*step 2"):
+            proportions_fp(base, h)
 
 
 class TestApplyTopdown:
@@ -148,6 +158,16 @@ class TestApplyTopdown:
         S = build_summing_matrix(two_level())
         with pytest.raises(DataError):
             apply_topdown(S, [0.4, 0.7], [10.0])
+
+    def test_one_proportion_vector_per_step(self):
+        S = build_summing_matrix(two_level())
+        out = apply_topdown(S, [[0.4, 0.6], [0.8, 0.2]], [10.0, 5.0])
+        assert np.allclose(out, [[10, 4, 6], [5, 4, 1]])
+
+    def test_per_step_rows_must_match_steps(self):
+        S = build_summing_matrix(two_level())
+        with pytest.raises(DataError, match="2 proportion rows for 3 steps"):
+            apply_topdown(S, [[0.4, 0.6], [0.8, 0.2]], [10.0, 5.0, 1.0])
 
 
 class TestMiddleOut:
@@ -320,3 +340,94 @@ class TestMint:
         cov = ErrorCovariance(W=np.eye(3), lam=1.0)
         with pytest.raises(DataError):
             mint_reconcile(S, np.ones((1, 4)), cov)
+
+
+class TestReconcile:
+    def _inputs(self):
+        h = three_level()
+        hist = panel_from_bottom(h, [[1.0, 2.0, 3.0, 4.0], [2.0, 2.0, 1.0, 5.0]])
+        base = np.arange(1.0, 2 * h.M + 1).reshape(2, h.M)
+        return h, build_summing_matrix(h), base, hist
+
+    def test_each_method_matches_its_function(self):
+        h, S, base, hist = self._inputs()
+        top = base[:, 0]
+        leaves = [h.index(n) for n in h.bottom_ids]
+        mids = [h.index(n) for n in h.level_ids(1)]
+        # historical leaf means: a0 1.5, a1 2, b0 2, b1 4.5
+        props = {"a": [3 / 7, 4 / 7], "b": [4 / 13, 9 / 13]}
+        expected = {
+            "bu": bottom_up(S, base[:, leaves]),
+            "ahp": apply_topdown(S, proportions_ahp(hist), top),
+            "pha": apply_topdown(S, proportions_pha(hist), top),
+            "fp": apply_topdown(S, proportions_fp(base, h), top),
+            "mo": middle_out(h, S, 1, base[:, mids], props),
+            "mint": mint_reconcile(S, base, ErrorCovariance(np.eye(h.M), 1.0)),
+        }
+        assert set(expected) == set(reconcile.METHODS)
+        for method, want in expected.items():
+            got = reconcile.reconcile(method, S, h, base, hist, 1)
+            assert np.allclose(got, want), method
+
+    def test_mint_errors_give_shrinkage_covariance(self, rng):
+        h, S, base, hist = self._inputs()
+        E = rng.standard_normal((20, h.M))
+        got = reconcile.reconcile("mint", S, h, base, None, errors=E,
+                                  shrinkage=0.3)
+        want = mint_reconcile(S, base, shrinkage_covariance(E, 0.3))
+        assert np.array_equal(got, want)
+
+    def test_unknown_method_lists_choices(self):
+        h, S, base, hist = self._inputs()
+        choices = ", ".join(reconcile.METHODS)
+        with pytest.raises(ConfigError, match=f"'xyz' \\(choose from {choices}\\)"):
+            reconcile.reconcile("xyz", S, h, base, hist)
+
+    @pytest.mark.parametrize("level", [5, -1])
+    def test_middle_level_outside_hierarchy(self, level):
+        h, S, base, hist = self._inputs()
+        with pytest.raises(DataError, match=f"middle level {level} outside"):
+            reconcile.reconcile("mo", S, h, base, hist, level)
+
+
+@st.composite
+def instances(draw):
+    """A random tree, a positive history panel, positive base forecasts and
+    base-forecast errors."""
+    h = draw(uneven_trees())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = len(h.bottom_ids)
+    hist = panel_from_bottom(h, rng.uniform(0.5, 10.0, (12, m)))
+    base = rng.uniform(0.5, 10.0, (3, h.M))
+    errors = rng.standard_normal((30, h.M))
+    return h, build_summing_matrix(h), hist, base, errors, rng
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(instances(), st.data())
+    def test_every_method_is_coherent(self, inst, data):
+        h, S, hist, base, errors, _ = inst
+        level = data.draw(st.integers(0, h.K - 1))
+        E = data.draw(st.sampled_from([None, errors]))
+        for method in reconcile.METHODS:
+            out = reconcile.reconcile(method, S, h, base, hist, level, E)
+            assert coherence_violation(S, out) <= 1e-9, method
+
+    @settings(max_examples=30, deadline=None)
+    @given(instances())
+    def test_bu_and_mint_keep_coherent_input(self, inst):
+        h, S, hist, _, errors, rng = inst
+        coherent = aggregate(S, rng.uniform(0.5, 10.0, (3, S.m_bottom)))
+        for method, E in (("bu", None), ("mint", None), ("mint", errors)):
+            out = reconcile.reconcile(method, S, h, coherent, hist, 1, E)
+            assert np.abs(out - coherent).max() <= 1e-9, (method, E is None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instances())
+    def test_proportions_on_simplex(self, inst):
+        h, _, hist, base, _, _ = inst
+        for p in (proportions_ahp(hist), proportions_pha(hist),
+                  proportions_fp(base, h)):
+            assert np.all(p >= 0)
+            assert np.abs(np.atleast_2d(p).sum(axis=1) - 1.0).max() <= 1e-9
