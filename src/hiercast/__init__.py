@@ -19,9 +19,8 @@ from .evaluate import (CVConfig, EvalReport, NemenyiResult, chi2_sf,
                        expanding_window_cv, friedman_test, mase,
                        nemenyi_svg, nemenyi_test, smape)
 from .nnd import (ArchConfig, DisaggregationModel, NndConfig, NndResult,
-                  WindowConfig, disaggregate, make_windows,
-                  nnd_iterative_topdown, nnd_middle_out,
-                  nnd_standard_topdown, raw_violation, train_nnd)
+                  WindowConfig, disaggregate, make_windows, raw_violation,
+                  train_nnd)
 from .synthetic import GeneratorSpec, generate, write_dataset
 from .seeding import derive_seed
 
@@ -43,7 +42,6 @@ __all__ = [
     "chi2_sf", "nemenyi_svg",
     "WindowConfig", "ArchConfig", "NndConfig", "NndResult",
     "DisaggregationModel", "make_windows", "train_nnd", "disaggregate",
-    "nnd_standard_topdown", "nnd_iterative_topdown", "nnd_middle_out",
     "raw_violation",
     "GeneratorSpec", "generate", "write_dataset",
     "derive_seed",

@@ -18,14 +18,14 @@ import numpy as np
 
 from . import __version__, neuralnet
 from .errors import ConfigError, DataError, HiercastError, NumericError
-from .evaluate import CVConfig, EvalReport, nemenyi_svg, scorer
+from .evaluate import SCORERS, CVConfig, EvalReport, nemenyi_svg
 from .forecasters import default_candidates, select_model
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, coherence_violation,
                         format_timestamp, load_error_matrix, load_hierarchy,
                         load_panel, timestamps_are_dates, _parse_ts)
-from .nnd import (ArchConfig, NndConfig, WindowConfig, feature_matrix,
-                  nnd_iterative_topdown, nnd_middle_out, nnd_standard_topdown)
+from .nnd import (STRATEGIES, ArchConfig, NndConfig, WindowConfig,
+                  feature_matrix, run)
 from .reconcile import METHODS, reconcile
 from .seeding import derive_seed
 from .synthetic import GeneratorSpec, write_dataset
@@ -65,13 +65,20 @@ def _str_list(token):
     return items
 
 
+def _one_of(table, what):
+    """A cast that lower-cases a name and rejects one not in ``table``."""
+    def cast(token):
+        name = str(token).lower()
+        if name not in table:
+            raise ConfigError(f"unknown {what} {name!r} "
+                              f"(choose from {', '.join(table)})")
+        return name
+    return cast
+
+
 def _methods(token):
-    names = [m.lower() for m in _str_list(token)]
-    for m in names:
-        if m not in METHODS:
-            raise ConfigError(f"unknown reconciliation method {m!r} "
-                              f"(choose from {', '.join(METHODS)})")
-    return names
+    method = _one_of(METHODS, "reconciliation method")
+    return [method(m) for m in _str_list(token)]
 
 
 def _unit_float(token):
@@ -294,33 +301,20 @@ def _nnd_config(cfg):
 
 
 def cmd_nnd(cfg):
+    ncfg = _nnd_config(cfg)
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    h, m_season, out_dir = cfg["horizon"], cfg["m_season"], cfg["out_dir"]
-    strategy = cfg["strategy"].lower()
-    ncfg = _nnd_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
+    h, strategy, out_dir = cfg["horizon"], cfg["strategy"], cfg["out_dir"]
+    result = run(strategy, panel, n_train, h, ncfg, cfg["middle_level"],
+                 cfg["m_season"])
 
-    if strategy == "nnd1":
-        result = nnd_standard_topdown(panel, n_train, h, ncfg, m_season=m_season)
-    elif strategy == "nnd2":
-        result = nnd_iterative_topdown(panel, n_train, h, ncfg, m_season=m_season)
-    elif strategy in ("mo", "middle-out"):
-        result = nnd_middle_out(panel, n_train, h, cfg["middle_level"], ncfg,
-                                m_season=m_season)
-    else:
-        raise ConfigError(
-            f"unknown NND strategy {strategy!r} (choose nnd1, nnd2, or mo)"
-        )
-
+    models_dir = os.path.join(out_dir, "models")
+    os.makedirs(models_dir, exist_ok=True)
     ForecastSet(
         method=strategy, node_ids=tuple(hier.node_ids),
         timestamps=_future_timestamps(panel, n_train, h),
         values=result.values,
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
-
-    models_dir = os.path.join(out_dir, "models")
-    os.makedirs(models_dir, exist_ok=True)
     for parent_id, model in sorted(result.models.items()):
         neuralnet.save_network(model.net, os.path.join(models_dir, f"{parent_id}.net"))
     with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
@@ -342,8 +336,8 @@ def cmd_nnd(cfg):
 def cmd_evaluate(cfg):
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    metric = cfg["metric"].lower()
-    score = scorer(metric)
+    metric = cfg["metric"]
+    score = SCORERS[metric]
     m_season, out_dir, paths = cfg["m_season"], cfg["out_dir"], cfg["forecasts"]
 
     sets = [read_forecast_set(_require_file(p, "forecast")) for p in paths]
@@ -449,8 +443,6 @@ def cmd_plot(cfg):
     hier, panel = _load_inputs(cfg)
     fs = read_forecast_set(_require_file(cfg["forecasts"], "forecast"))
     nodes = _resolve_nodes(hier, cfg["nodes"])
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
 
     # align the forecast window with the panel by timestamp
     ts_index = {str(ts): t for t, ts in enumerate(panel.timestamps)}
@@ -459,6 +451,8 @@ def cmd_plot(cfg):
         raise DataError("forecast timestamps not found in the observation panel")
     start, stop = positions[0], positions[-1] + 1
     context = max(0, start - 4 * fs.horizon)
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
 
     for node_id in nodes:
         actual = panel.series(node_id)[context:stop]
@@ -625,8 +619,9 @@ COMMANDS = {
         ("shrinkage", _unit_float, None),
     ]),
     "nnd": (cmd_nnd, "neural-network disaggregation end to end", [
-        *_INPUTS, _SPLIT, ("strategy", str, "nnd2"), _OUT_DIR, _HORIZON,
-        _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
+        *_INPUTS, _SPLIT,
+        ("strategy", _one_of(STRATEGIES, "NND strategy"), "nnd2"), _OUT_DIR,
+        _HORIZON, _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
         ("alpha", float, 0.5), ("lr", float, 0.001), ("epochs", int, 500),
         ("patience", int, 20), ("batch", int, 32),
         ("val_fraction", float, 0.1), ("hidden", int, 64),
@@ -635,9 +630,9 @@ COMMANDS = {
         ("jobs", int, 1),
     ]),
     "evaluate": (cmd_evaluate, "score forecast sets and rank methods", [
-        *_INPUTS, _SPLIT, ("metric", str, "mase"), _OUT_DIR,
-        ("forecasts", _str_list, REQUIRED), ("horizon", int, None), _M_SEASON,
-        ("significance", float, 0.05), ("rank_tests", _bool, True),
+        *_INPUTS, _SPLIT, ("metric", _one_of(SCORERS, "metric"), "mase"),
+        _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
+        _M_SEASON, ("significance", float, 0.05), ("rank_tests", _bool, True),
     ]),
     "plot": (cmd_plot, "true-vs-forecast SVG line plots", [
         *_INPUTS, ("forecasts", str, REQUIRED), ("nodes", str, REQUIRED),

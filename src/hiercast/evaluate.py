@@ -45,7 +45,7 @@ def smape(actual, forecast):
 
 # metric name -> score(actual, forecast, insample, m_season); the entries call
 # mase and smape by module name, so a wrapper bound over either sees each call
-_SCORERS = {
+SCORERS = {
     "mase": lambda actual, fc, insample, m_season: mase(actual, fc, insample, m_season),
     "smape": lambda actual, fc, insample, m_season: smape(actual, fc),
 }
@@ -53,9 +53,9 @@ _SCORERS = {
 
 def scorer(metric):
     """The score function a metric names; an unknown name is a ConfigError."""
-    if metric not in _SCORERS:
-        raise ConfigError(f"unknown metric {metric!r} (choose {' or '.join(_SCORERS)})")
-    return _SCORERS[metric]
+    if metric not in SCORERS:
+        raise ConfigError(f"unknown metric {metric!r} (choose {' or '.join(SCORERS)})")
+    return SCORERS[metric]
 
 
 # ---------------------------------------------------------------------------

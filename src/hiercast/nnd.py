@@ -1,6 +1,6 @@
 """Neural-network disaggregation: windowing, feature assembly, the
 train/disaggregate two-step procedure, and the hierarchy-wide strategies
-(standard top-down, iterative top-down, middle-out).
+(nnd1, nnd2 and middle-out) behind one entry point, ``run``.
 
 The network maps a lag window of a parent series plus child-level
 exogenous/calendar features to all child series at once.  Published
@@ -253,34 +253,33 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
     )
 
 
-def nnd_standard_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
-                         root_forecast=None, m_season=7) -> NndResult:
-    """One model from the root straight to the bottom level; bottom
-    forecasts are re-aggregated upward, so coherence is exact."""
+# strategy -> what it reads besides the panel, the split, the horizon and cfg
+STRATEGIES = {"nnd1": (), "nnd2": (), "mo": ("middle_level",),
+              "middle-out": ("middle_level",)}
+
+
+def run(strategy, panel: SeriesPanel, n_train, h, cfg: NndConfig,
+        middle_level=1, m_season=7, root_forecast=None) -> NndResult:
+    """Forecast the hierarchy by ``strategy``, a key of ``STRATEGIES``.
+
+    nnd1: one model from the root straight to the bottom level.  nnd2: one
+    model per non-leaf node, cascaded level by level from the root.  mo
+    (middle-out): model selection at ``middle_level``, the nnd2 cascade
+    below it; from level 0 it is nnd2.  root_forecast: the root's forecast
+    when the cascade starts there (selected when None).  Bottom forecasts
+    are re-aggregated upward, so coherence is exact.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown NND strategy {strategy!r} "
+                          f"(choose from {', '.join(STRATEGIES)})")
     hier = panel.hierarchy
-    return _cascade(panel, n_train, h, cfg, {hier.root_id: root_forecast},
-                    [(hier.root_id, tuple(hier.bottom_ids))], m_season)
-
-
-def nnd_iterative_topdown(panel: SeriesPanel, n_train, h, cfg: NndConfig,
-                          root_forecast=None, m_season=7) -> NndResult:
-    """One model per non-leaf node; forecasts cascade level by level, and
-    the published set is re-aggregated from the bottom."""
-    hier = panel.hierarchy
-    return _cascade(panel, n_train, h, cfg, {hier.root_id: root_forecast},
-                    _pairs_below(hier, 0), m_season)
-
-
-def nnd_middle_out(panel: SeriesPanel, n_train, h, middle_level,
-                   cfg: NndConfig, m_season=7) -> NndResult:
-    """Model selection at the middle level, NND cascade below it, exact
-    bottom-up re-aggregation through and above.  middle_level 0 reduces to
-    the iterative top-down cascade."""
-    hier = panel.hierarchy
-    if not 0 <= middle_level <= hier.K - 2:
-        raise DataError(
-            f"middle level {middle_level} must lie in [0, {hier.K - 2}]"
-        )
-    return _cascade(panel, n_train, h, cfg,
-                    dict.fromkeys(hier.level_ids(middle_level)),
-                    _pairs_below(hier, middle_level), m_season)
+    level = 0
+    if "middle_level" in STRATEGIES[strategy]:
+        level = middle_level
+        if not 0 <= level <= hier.K - 2:
+            raise DataError(f"middle level {level} must lie in [0, {hier.K - 2}]")
+    starts = {n: root_forecast if n == hier.root_id else None
+              for n in hier.level_ids(level)}
+    pairs = ([(hier.root_id, tuple(hier.bottom_ids))] if strategy == "nnd1"
+             else _pairs_below(hier, level))
+    return _cascade(panel, n_train, h, cfg, starts, pairs, m_season)

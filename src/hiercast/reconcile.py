@@ -249,7 +249,8 @@ def reconcile(method, S: SummingMatrix, hierarchy: Hierarchy, base, history,
         return bottom_up(S, cols(hierarchy.bottom_ids))
     if method == "mo":
         mids = hierarchy.level_ids(middle_level)
-        props = {n: _historical_subtree_proportions(history, n) for n in mids}
+        props = {n: _historical_subtree_proportions(history, n) for n in mids
+                 if len(hierarchy.descendants_at_bottom(n)) > 1}
         return middle_out(hierarchy, S, middle_level, cols(mids), props)
     if method == "mint":
         cov = (ErrorCovariance(W=np.eye(hierarchy.M), lam=1.0) if errors is None

@@ -18,14 +18,14 @@ from hiercast import (ArchConfig, CVConfig, ErrorCovariance, Ets,
                       SeasonalNaive, WindowConfig, aggregate, apply_topdown,
                       bottom_up, build_summing_matrix, cls_weights,
                       coherence_violation, generate, mase, mint_reconcile,
-                      nemenyi_test, nnd_iterative_topdown,
-                      nnd_standard_topdown, proportions_ahp, proportions_fp,
+                      nemenyi_test, proportions_ahp, proportions_fp,
                       proportions_pha, select_model, shrinkage_covariance,
                       smape)
 from hiercast import friedman_test
 from hiercast.reconcile import METHODS, reconcile
 from hiercast.cli import ITALIAN_URL, main as cli_main
 from hiercast.neuralnet import TrainConfig
+from hiercast.nnd import run
 
 from conftest import (make_hierarchy, max_relative_gradient_error,
                       panel_from_bottom, random_tiny_network)
@@ -82,10 +82,8 @@ class TestCriterion1Coherence:
                     for m in METHODS]
             # NND1 + NND2 (trained briefly; coherence is structural)
             cfg = _tiny_nnd_cfg(seed=i)
-            outs.append(nnd_standard_topdown(panel, n_train, h, cfg,
-                                             m_season=7).values)
-            outs.append(nnd_iterative_topdown(panel, n_train, h, cfg,
-                                              m_season=7).values)
+            outs += [run(strategy, panel, n_train, h, cfg, m_season=7).values
+                     for strategy in ("nnd1", "nnd2")]
             for out in outs:
                 worst = max(worst, coherence_violation(S, out))
         _report("1a", worst <= 1e-9,
@@ -104,7 +102,7 @@ class TestCriterion1Coherence:
                             kernel_size=3),
             seed=0,
         )
-        res = nnd_iterative_topdown(panel, 660, 70, cfg, m_season=7)
+        res = run("nnd2", panel, 660, 70, cfg, m_season=7)
         raw = max(res.raw_violations.values())
         _report("1b", raw <= 1e-3,
                 f"raw network violation {raw:.3g} (bound 1e-3)")
@@ -274,7 +272,7 @@ class TestCriterion6Directional:
                                 kernel_size=3),
                 seed=s,
             )
-            res = nnd_iterative_topdown(panel, n_train, h, cfg, m_season=7)
+            res = run("nnd2", panel, n_train, h, cfg, m_season=7)
             hist = panel.slice_rows(0, n_train)
             top = res.root_forecast
             ahp = apply_topdown(S, proportions_ahp(hist), top)
@@ -316,8 +314,8 @@ class TestCriterion7Nnd1EqualsNnd2:
                                  noise_sigma=0.2, seed=seed)
             _, panel, _ = generate(spec)
             cfg = _tiny_nnd_cfg(seed=seed)
-            r1 = nnd_standard_topdown(panel, 75, 7, cfg, m_season=7)
-            r2 = nnd_iterative_topdown(panel, 75, 7, cfg, m_season=7)
+            r1 = run("nnd1", panel, 75, 7, cfg, m_season=7)
+            r2 = run("nnd2", panel, 75, 7, cfg, m_season=7)
             if not np.array_equal(r1.values, r2.values):
                 ok = False
         _report("7", ok, "NND1 and NND2 bit-identical on 2-level "
@@ -396,7 +394,7 @@ class TestCriterion9Italian:
                             kernel_size=4),
             seed=0,
         )
-        res = nnd_iterative_topdown(panel, n_train, h, cfg, m_season=7)
+        res = run("nnd2", panel, n_train, h, cfg, m_season=7)
         S = build_summing_matrix(hier)
         cv = CVConfig(starting_window=max(15, n_train - 2 * h),
                       ending_window=n_train - h, horizon=h, step=h)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
-from hiercast import cli, reconcile
+from hiercast import cli, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
 
@@ -481,7 +481,16 @@ class TestNndCommand:
         assert err["error"] == "ConfigError" and "jobs" in err["message"]
         assert not out_dir.exists()
 
-    def test_unknown_strategy(self, dataset, tmp_path):
+    def _assert_unknown_strategy(self, code, capsys, out_dir):
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (
+            "bad value for 'strategy': unknown NND strategy 'nnd9' "
+            f"(choose from {', '.join(nnd.STRATEGIES)})")
+        assert not out_dir.exists()
+
+    def test_unknown_strategy(self, dataset, tmp_path, capsys):
         code = main([
             "nnd",
             "--hierarchy", str(dataset / "hierarchy.csv"),
@@ -489,7 +498,37 @@ class TestNndCommand:
             "--split", "100", "--strategy", "nnd9",
             "--out-dir", str(tmp_path / "nnd"),
         ])
-        assert code == 2
+        self._assert_unknown_strategy(code, capsys, tmp_path / "nnd")
+
+    def test_unknown_strategy_checked_before_inputs_are_read(self, tmp_path,
+                                                             capsys):
+        code = main([
+            "nnd", "--hierarchy", str(tmp_path / "nope.csv"),
+            "--observations", str(tmp_path / "nope.csv"),
+            "--split", "100", "--strategy", "nnd9",
+            "--out-dir", str(tmp_path / "nnd"),
+        ])
+        self._assert_unknown_strategy(code, capsys, tmp_path / "nnd")
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--window", "150"], "series length 100 shorter than window 150"),
+        (["--strategy", "mo", "--middle-level", "5"],
+         "middle level 5 must lie in [0, 1]"),
+    ], ids=["window-past-split", "middle-level-5"])
+    def test_failed_run_writes_nothing(self, dataset, tmp_path, capsys,
+                                       extra, message):
+        out_dir = tmp_path / "nnd"
+        code = main([
+            "nnd",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--epochs", "1", *extra,
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and message in err["message"]
+        assert not out_dir.exists()
 
 
 class TestPlot:
@@ -510,6 +549,26 @@ class TestPlot:
             assert svg.startswith("<svg")
             assert "</svg>" in svg
 
+    def test_unmatched_timestamps_write_nothing(self, dataset, tmp_path,
+                                                capsys):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        base = tmp_path / "base.csv"
+        ForecastSet(method="fstar", node_ids=hier.node_ids,
+                    timestamps=np.array(["2030-01-01"], dtype="datetime64[s]"),
+                    values=np.ones((1, hier.M))).write_csv(base)
+        out_dir = tmp_path / "plots"
+        code = main([
+            "plot",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--forecasts", str(base), "--nodes", "total",
+            "--out-dir", str(out_dir),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError" and "timestamps" in err["message"]
+        assert not out_dir.exists()
+
 
 # one case per cast kind; the other settings are given but never read,
 # because every value is cast before any file is opened (the tests run in
@@ -521,6 +580,7 @@ BAD_VALUES = [
     ("synth", "children_per_level", "a,b"),        # _int_list
     ("reconcile", "methods", "bu,xyz"),            # _methods
     ("reconcile", "shrinkage", "2"),               # _unit_float
+    ("evaluate", "metric", "xyz"),                 # _one_of
 ]
 REQUIRED_ARGS = {
     "forecast": ["--hierarchy", "h.csv", "--observations", "o.csv",
@@ -530,6 +590,8 @@ REQUIRED_ARGS = {
     "synth": ["--out", "data"],
     "reconcile": ["--hierarchy", "h.csv", "--observations", "o.csv",
                   "--base", "b.csv", "--out-dir", "rec"],
+    "evaluate": ["--hierarchy", "h.csv", "--observations", "o.csv",
+                 "--split", "10", "--forecasts", "f.csv", "--out-dir", "ev"],
 }
 
 

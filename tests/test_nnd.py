@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from hiercast import (ArchConfig, DataError, Hierarchy, NndConfig,
-                      WindowConfig, build_summing_matrix, coherence_violation,
-                      disaggregate, make_windows, nnd_iterative_topdown,
-                      nnd_middle_out, nnd_standard_topdown, raw_violation,
-                      train_nnd)
+from hiercast import (ArchConfig, ConfigError, DataError, Hierarchy,
+                      NndConfig, WindowConfig, build_summing_matrix,
+                      coherence_violation, disaggregate, make_windows,
+                      raw_violation, train_nnd)
 from hiercast import kernels, neuralnet
 from hiercast.neuralnet import TrainConfig
-from hiercast.nnd import feature_matrix
+from hiercast.nnd import STRATEGIES, feature_matrix, run
 
 from conftest import make_hierarchy, panel_from_bottom
 from test_kernels import _conv1d_same_grad_loops, _conv1d_same_loops
@@ -251,7 +250,7 @@ def coherent_panel_for(hier, T, seed=0):
 class TestStrategies:
     def test_nnd1_single_model_italian_width(self):
         panel = coherent_panel_for(italian_hierarchy(), 40)
-        res = nnd_standard_topdown(panel, 30, 5, tiny_cfg(), m_season=7)
+        res = run("nnd1", panel, 30, 5, tiny_cfg(), m_season=7)
         assert len(res.models) == 1
         model = res.models["store"]
         assert len(model.child_ids) == 118
@@ -260,12 +259,12 @@ class TestStrategies:
 
     def test_nnd2_model_count_italian(self):
         panel = coherent_panel_for(italian_hierarchy(), 40)
-        res = nnd_iterative_topdown(panel, 30, 5, tiny_cfg(), m_season=7)
+        res = run("nnd2", panel, 30, 5, tiny_cfg(), m_season=7)
         assert len(res.models) == 5
 
     def test_nnd2_model_count_walmart(self):
         panel = coherent_panel_for(walmart_hierarchy(), 40)
-        res = nnd_iterative_topdown(panel, 30, 5, tiny_cfg(), m_season=7)
+        res = run("nnd2", panel, 30, 5, tiny_cfg(), m_season=7)
         assert len(res.models) == 14
         S = build_summing_matrix(panel.hierarchy)
         assert coherence_violation(S, res.values) <= 1e-9
@@ -273,15 +272,15 @@ class TestStrategies:
     def test_nnd1_equals_nnd2_on_two_levels(self):
         panel = fixed_share_panel(T=80)
         cfg = tiny_cfg(seed=3)
-        r1 = nnd_standard_topdown(panel, 60, 7, cfg, m_season=7)
-        r2 = nnd_iterative_topdown(panel, 60, 7, cfg, m_season=7)
+        r1 = run("nnd1", panel, 60, 7, cfg, m_season=7)
+        r2 = run("nnd2", panel, 60, 7, cfg, m_season=7)
         assert np.array_equal(r1.values, r2.values)
 
     def test_middle_out_zero_reduces_to_nnd2(self):
         panel = coherent_panel_for(make_hierarchy((2, 2)), 60)
         cfg = tiny_cfg(seed=2)
-        r_mo = nnd_middle_out(panel, 45, 5, 0, cfg, m_season=7)
-        r_2 = nnd_iterative_topdown(panel, 45, 5, cfg, m_season=7)
+        r_mo = run("mo", panel, 45, 5, cfg, 0, m_season=7)
+        r_2 = run("nnd2", panel, 45, 5, cfg, m_season=7)
         assert np.array_equal(r_mo.values, r_2.values)
 
     def test_nnd2_forecasts_match_loop_kernels(self, monkeypatch):
@@ -295,7 +294,7 @@ class TestStrategies:
                             kernel_size=4),
             seed=5)
         root = panel.series("total")[40:45] * 1.01
-        fast = nnd_iterative_topdown(panel, 40, 5, cfg, root_forecast=root)
+        fast = run("nnd2", panel, 40, 5, cfg, root_forecast=root)
         calls = []
 
         def counted(fn):
@@ -307,14 +306,14 @@ class TestStrategies:
         monkeypatch.setattr(kernels, "conv1d_same", counted(_conv1d_same_loops))
         monkeypatch.setattr(kernels, "conv1d_same_grad",
                             counted(_conv1d_same_grad_loops))
-        slow = nnd_iterative_topdown(panel, 40, 5, cfg, root_forecast=root)
+        slow = run("nnd2", panel, 40, 5, cfg, root_forecast=root)
         assert {_conv1d_same_loops, _conv1d_same_grad_loops} <= set(calls)
         np.testing.assert_allclose(fast.values, slow.values, rtol=1e-9, atol=0)
 
     def test_middle_out_level_one_counts_and_coherence(self):
         hier = make_hierarchy((4, 2))
         panel = coherent_panel_for(hier, 70)
-        res = nnd_middle_out(panel, 55, 5, 1, tiny_cfg(), m_season=7)
+        res = run("mo", panel, 55, 5, tiny_cfg(), 1, m_season=7)
         # one disaggregation model per middle-level node
         assert sorted(res.models) == sorted(hier.level_ids(1))
         S = build_summing_matrix(hier)
@@ -322,19 +321,19 @@ class TestStrategies:
 
     def test_middle_out_invalid_level(self):
         panel = coherent_panel_for(make_hierarchy((2, 2)), 60)
-        with pytest.raises(DataError):
-            nnd_middle_out(panel, 45, 5, 2, tiny_cfg())
+        with pytest.raises(DataError, match=r"middle level 2 must lie in \[0, 1\]"):
+            run("mo", panel, 45, 5, tiny_cfg(), 2)
 
     def test_parallel_jobs_deterministic(self):
         panel = coherent_panel_for(make_hierarchy((3, 2)), 60)
-        r1 = nnd_iterative_topdown(panel, 45, 5, tiny_cfg(jobs=1), m_season=7)
-        r2 = nnd_iterative_topdown(panel, 45, 5, tiny_cfg(jobs=4), m_season=7)
+        r1 = run("nnd2", panel, 45, 5, tiny_cfg(jobs=1), m_season=7)
+        r2 = run("nnd2", panel, 45, 5, tiny_cfg(jobs=4), m_season=7)
         assert np.array_equal(r1.values, r2.values)
 
     def test_horizon_past_panel_rejected(self):
         panel = fixed_share_panel(T=60)
-        with pytest.raises(DataError):
-            nnd_standard_topdown(panel, 55, 10, tiny_cfg())
+        with pytest.raises(DataError, match="extends past the panel"):
+            run("nnd1", panel, 55, 10, tiny_cfg())
 
     def test_single_level_hierarchy_rejected(self):
         h = Hierarchy.from_nodes([("only", None, 0)])
@@ -342,12 +341,26 @@ class TestStrategies:
         from hiercast import SeriesPanel
         panel = SeriesPanel(hierarchy=h, timestamps=ts,
                             values=np.ones((30, 1)))
-        with pytest.raises(DataError):
-            nnd_standard_topdown(panel, 20, 5, tiny_cfg())
+        for strategy in ("nnd1", "nnd2"):
+            with pytest.raises(DataError, match="needs at least 2 levels"):
+                run(strategy, panel, 20, 5, tiny_cfg())
+
+    def test_middle_out_alias(self):
+        panel = coherent_panel_for(make_hierarchy((2, 2)), 60)
+        r_mo = run("mo", panel, 45, 5, tiny_cfg(), 1, m_season=7)
+        r_alias = run("middle-out", panel, 45, 5, tiny_cfg(), 1, m_season=7)
+        assert np.array_equal(r_mo.values, r_alias.values)
+
+    def test_unknown_strategy_lists_choices(self):
+        panel = fixed_share_panel(T=60)
+        choices = ", ".join(STRATEGIES)
+        with pytest.raises(ConfigError,
+                           match=f"'nnd9' \\(choose from {choices}\\)"):
+            run("nnd9", panel, 45, 5, tiny_cfg())
 
     def test_raw_violation_reported_per_parent(self):
         panel = coherent_panel_for(make_hierarchy((2, 2)), 60)
-        res = nnd_iterative_topdown(panel, 45, 5, tiny_cfg(), m_season=7)
+        res = run("nnd2", panel, 45, 5, tiny_cfg(), m_season=7)
         assert set(res.raw_violations) == {"total", "g00", "g01"}
         for v in res.raw_violations.values():
             assert np.isfinite(v) and v >= 0

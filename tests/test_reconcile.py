@@ -383,6 +383,16 @@ class TestReconcile:
         with pytest.raises(ConfigError, match=f"'xyz' \\(choose from {choices}\\)"):
             reconcile.reconcile("xyz", S, h, base, hist)
 
+    def test_middle_out_at_bottom_level_ignores_zero_leaf(self):
+        # a single-leaf node takes no proportions, so a leaf that is zero
+        # at every step still reconciles; at the bottom level mo is bu
+        h = two_level()
+        S = build_summing_matrix(h)
+        hist = panel_from_bottom(h, [[0.0, 2.0], [0.0, 3.0]])
+        base = np.array([[4.0, 1.0, 2.0], [5.0, 0.5, 3.0]])
+        got = reconcile.reconcile("mo", S, h, base, hist, 1)
+        assert np.array_equal(got, reconcile.reconcile("bu", S, h, base, hist))
+
     @pytest.mark.parametrize("level", [5, -1])
     def test_middle_level_outside_hierarchy(self, level):
         h, S, base, hist = self._inputs()
