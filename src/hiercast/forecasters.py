@@ -6,7 +6,6 @@ the candidate with the lowest expanding-window mean MASE.
 """
 
 import copy
-from dataclasses import replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,7 +81,7 @@ class SeasonalNaive:
 
 class Arx:
     """Autoregression with optional exogenous regressors, fit by least
-    squares.  Lag order is chosen by AIC over 1..max_p when not given;
+    squares.  Lag order is chosen by AIC over 1..14 when not given;
     first differencing is applied when the lag-1 autocorrelation exceeds
     0.95 (unless d is fixed).  Regressors constant over the fit window (a
     month dummy of a month it does not contain) are dropped, for the
@@ -90,11 +89,9 @@ class Arx:
 
     kind = "arx"
 
-    def __init__(self, p=None, d=None, use_exog=True, max_p=14):
+    def __init__(self, p=None, d=None):
         self.p = p
         self.d = d
-        self.use_exog = use_exog
-        self.max_p = max_p
 
     def fit(self, y, X=None):
         y = _check_series(y)
@@ -130,7 +127,7 @@ class Arx:
         if self.p is not None:
             orders = [self.p]
         else:
-            orders = [p for p in range(1, self.max_p + 1)
+            orders = [p for p in range(1, 15)
                       if len(z) - p > p + n_x + 1]
             if not orders:
                 raise DataError(f"series too short for ARX (length {len(y)})")
@@ -158,7 +155,7 @@ class Arx:
         return self
 
     def _exog(self, X, n):
-        if not self.use_exog or X is None:
+        if X is None:
             return None
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] != n:
@@ -188,7 +185,7 @@ class Arx:
             return np.full(h, self.constant_)
         if self.drift_ is not None:
             return self.y_last_ + self.drift_ * np.arange(1, h + 1)
-        has_exog = self.use_exog and (len(self.coef_) > 1 + self.p_)
+        has_exog = len(self.coef_) > 1 + self.p_
         if has_exog:
             if X_future is None:
                 raise DataError("ARX fitted with exog needs future exog values")
@@ -276,35 +273,28 @@ class Ets:
 
 
 class Narx:
-    """Neural autoregression: an MLP over (lags, exog) with scalar output,
-    trained with the shared network engine.  Recursive multi-step
-    forecasting as in Arx."""
+    """Neural autoregression: an MLP over (lags, exog) with two hidden
+    layers of 16 units and scalar output, trained with the shared network
+    engine (learning rate 0.01, at most 300 epochs, patience 25).
+    Recursive multi-step forecasting as in Arx."""
 
     kind = "narx"
 
-    def __init__(self, p=3, use_exog=True, hidden=(16, 16), train_config=None,
-                 seed=0):
+    def __init__(self, p=3, seed=0):
         if p < 1:
             raise ConfigError("NAR lag order must be >= 1")
         self.p = p
-        self.use_exog = use_exog
-        self.hidden = tuple(hidden)
-        self.train_config = train_config or neuralnet.TrainConfig(
-            learning_rate=0.01, max_epochs=300, patience=25, seed=seed,
-        )
         self.seed = seed
 
     def fit(self, y, X=None):
         y = _check_series(y)
         p = self.p
-        if self.use_exog and X is not None:
+        if X is not None:
             X = np.atleast_2d(np.asarray(X, dtype=float))
             if X.shape[0] != len(y):
                 raise DataError("exog rows do not match series length")
             if X.shape[1] == 0:
                 X = None
-        else:
-            X = None
         if len(y) <= p + 2:
             raise DataError(f"series too short for NAR with lag order {p}")
         rows = len(y) - p
@@ -312,9 +302,10 @@ class Narx:
         targets = y[p:, None]
         spec = neuralnet.NetworkSpec(
             out_dim=1, exog_dim=feats.shape[1], window=0,
-            mlp_widths=self.hidden, conv_filters=(),
+            mlp_widths=(16, 16), conv_filters=(),
         )
-        cfg = replace(self.train_config, seed=self.seed)
+        cfg = neuralnet.TrainConfig(learning_rate=0.01, max_epochs=300,
+                                    patience=25, seed=self.seed)
         self.net_ = neuralnet.train(spec, (feats, np.zeros((rows, 0)), targets), cfg)
         self.n_x_ = X.shape[1] if X is not None else 0
         self.tail_ = list(y[-p:])
@@ -413,19 +404,18 @@ class CombMean:
 
 class CombCls:
     """Combination weighted by constrained least squares on a held-out tail
-    of the training series."""
+    of the training series: its last 28 rows, or a third of it if less."""
 
     kind = "comb_cls"
 
-    def __init__(self, members, holdout=28):
+    def __init__(self, members):
         if not members:
             raise ConfigError("combination needs at least one member")
         self.members = list(members)
-        self.holdout = holdout
 
     def fit(self, y, X=None):
         y = _check_series(y)
-        hold = min(self.holdout, len(y) // 3)
+        hold = min(28, len(y) // 3)
         if hold < len(self.members):
             raise DataError(
                 f"held-out window ({hold}) shorter than member count "
@@ -454,12 +444,12 @@ class CombCls:
 def default_candidates(m_season=7, narx_seed=0, include_narx=True,
                        include_combinations=True):
     """The standard candidate pool for base-forecast selection."""
-    cands = [Naive(), SeasonalNaive(m_season), Arx(use_exog=True),
+    cands = [Naive(), SeasonalNaive(m_season), Arx(),
              Ets("hw", m_season)]
     if include_narx:
         cands.append(Narx(p=m_season, seed=narx_seed))
     if include_combinations:
-        members = [Arx(use_exog=True), Narx(p=m_season, seed=narx_seed),
+        members = [Arx(), Narx(p=m_season, seed=narx_seed),
                    Ets("hw", m_season)]
         cands.append(CombMean(members))
         cands.append(CombCls(members))
@@ -469,7 +459,12 @@ def default_candidates(m_season=7, narx_seed=0, include_narx=True,
 def select_model(y, X, candidates, cv: CVConfig, m_season=1):
     """Pick the candidate with lowest expanding-window mean MASE, refit it
     on the full series, and return (fitted_model, kind, mean_score).  A tie
-    goes to the candidate listed first."""
+    goes to the candidate listed first.
+
+    When no candidate scores because the largest fold's training rows are
+    seasonally constant (MASE's scale is zero on every fold), the result is
+    seasonal naive fitted on the full series, with score None: on such a
+    history its forecast is exact."""
     if not candidates:
         raise ConfigError("no candidates given")
     results = []
@@ -483,6 +478,11 @@ def select_model(y, X, candidates, cv: CVConfig, m_season=1):
             continue
         results.append((score, idx, proto))
     if not results:
+        y = np.asarray(y, dtype=float)
+        n, m = max(cv.fold_sizes(len(y))), m_season
+        if n > m and np.array_equal(y[m:n], y[:n - m]):
+            fallback = SeasonalNaive(m)
+            return fallback.fit(y), fallback.kind, None
         raise NumericError("all model candidates failed cross-validation")
     score, _, proto = min(results, key=lambda r: r[:2])
     fitted = copy.deepcopy(proto).fit(y, X)

@@ -125,9 +125,7 @@ class Hierarchy:
 class SummingMatrix:
     """Dense 0/1 matrix mapping bottom-level series to every series."""
 
-    entries: np.ndarray            # (M, m_bottom) float64
-    row_index: tuple               # node ids, canonical order
-    col_index: tuple               # bottom node ids, canonical order
+    entries: np.ndarray            # (M, m_bottom) float64, canonical order
     child_rows: tuple              # per row: tuple of child row positions
 
     @property
@@ -146,16 +144,10 @@ def build_summing_matrix(h: Hierarchy) -> SummingMatrix:
     for i, node_id in enumerate(h.node_ids):
         for leaf in h.descendants_at_bottom(node_id):
             S[i, col_of[leaf]] = 1.0
-    row_of = {n: i for i, n in enumerate(h.node_ids)}
     child_rows = tuple(
-        tuple(row_of[c] for c in h.children(n)) for n in h.node_ids
+        tuple(h._row_of[c] for c in h.children(n)) for n in h.node_ids
     )
-    return SummingMatrix(
-        entries=S,
-        row_index=tuple(h.node_ids),
-        col_index=tuple(bottom),
-        child_rows=child_rows,
-    )
+    return SummingMatrix(entries=S, child_rows=child_rows)
 
 
 def aggregate(S: SummingMatrix, bottom: np.ndarray) -> np.ndarray:

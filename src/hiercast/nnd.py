@@ -64,8 +64,6 @@ class DisaggregationModel:
     parent_id: str
     child_ids: tuple
     net: neuralnet.TrainedNetwork
-    feature_names: list
-    window: WindowConfig
 
 
 def make_windows(series, cfg: WindowConfig):
@@ -104,18 +102,14 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
 
     Uses panel rows [0, end) (default: the whole panel).  The window input
     is the parent series, the target is the child vector at the window's
-    last step, and the exogenous branch sees the child features.
+    last step, and the exogenous branch sees the child features at that
+    step.  Every window ends below ``end`` and the features are built row
+    by row, so rows from ``end`` on do not reach the model.
     """
-    end = panel.T if end is None else end
-    sub = panel.slice_rows(0, end) if end < panel.T else panel
-    parent = sub.series(parent_id)
     child_ids = tuple(child_ids)
-    targets_mat = np.column_stack([sub.series(c) for c in child_ids])
-
-    windows, t_idx = make_windows(parent, cfg.window)
-    names, feats_all = feature_matrix(sub, child_ids)
-    feats = feats_all[t_idx]
-    targets = targets_mat[t_idx]
+    windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
+    feats = feature_matrix(panel, child_ids)[1][t_idx]
+    targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
 
     seed = derive_seed(cfg.seed, f"nnd:{parent_id}")
     tcfg = replace(cfg.train, seed=seed)
@@ -136,10 +130,7 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
             kernel_size=arch.kernel_size,
         )
         net = neuralnet.train(spec, (feats, windows, targets), tcfg)
-    return DisaggregationModel(
-        parent_id=parent_id, child_ids=child_ids, net=net,
-        feature_names=names, window=cfg.window,
-    )
+    return DisaggregationModel(parent_id=parent_id, child_ids=child_ids, net=net)
 
 
 def disaggregate(model: DisaggregationModel, parent_forecast, features,
@@ -158,7 +149,7 @@ def disaggregate(model: DisaggregationModel, parent_forecast, features,
     if features.shape[0] < h:
         raise DataError(f"need {h} feature rows, got {features.shape[0]}")
     hist = np.asarray(parent_history, dtype=float).ravel()
-    w = model.window.w
+    w = model.net.spec.window
     if len(hist) < w - 1:
         raise DataError(f"insufficient history ({len(hist)}) to fill a window of {w}")
     series = np.concatenate([hist[len(hist) - w + 1:], parent_forecast])

@@ -129,7 +129,7 @@ def middle_out(hierarchy: Hierarchy, S: SummingMatrix, middle_level,
             f"expected {len(mids)} middle-level forecast columns, "
             f"got {middle_forecasts.shape[1]}"
         )
-    col_of = {n: j for j, n in enumerate(S.col_index)}
+    col_of = {n: j for j, n in enumerate(hierarchy.bottom_ids)}
     bottom = np.zeros((middle_forecasts.shape[0], S.m_bottom))
     for j, node_id in enumerate(mids):
         leaves = hierarchy.descendants_at_bottom(node_id)

@@ -37,6 +37,14 @@ class GeneratorSpec:
             raise ConfigError(f"unknown proportion regime {self.regime!r}")
         if not self.children_per_level or any(c < 1 for c in self.children_per_level):
             raise ConfigError("children_per_level must be positive")
+        if self.m_season < 1:
+            raise ConfigError(f"m_season must be >= 1, got {self.m_season}")
+        try:
+            start = np.datetime64(self.start, "s")
+        except ValueError:
+            start = np.datetime64("NaT")
+        if np.isnat(start):
+            raise ConfigError(f"start must be a date, got {self.start!r}")
         if self.T < 2 * self.m_season:
             raise ConfigError("T too small for the seasonal period")
         if self.fixed_shares is not None:

@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hiercast import (aggregate, build_summing_matrix, load_hierarchy)
+from hiercast import (Hierarchy, aggregate, build_summing_matrix,
+                      load_hierarchy)
 from hiercast import cli, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
+from hiercast.hierarchy import write_hierarchy, write_observations
+
+from conftest import panel_from_bottom
 
 
 @pytest.fixture
@@ -110,6 +114,23 @@ class TestForecast:
             "--split", "10", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 2
+
+    def test_all_zero_leaf_falls_back_to_seasonal_naive(self, tmp_path):
+        hier = Hierarchy.from_nodes(
+            [("total", None, 0), ("a", "total", 1), ("b", "total", 1)])
+        t = np.arange(120)
+        bottom = np.column_stack([np.zeros(120),
+                                  10 + np.sin(2 * np.pi * t / 7) + 0.1 * t])
+        data = tmp_path / "data"
+        data.mkdir()
+        write_hierarchy(hier, data / "hierarchy.csv")
+        write_observations(panel_from_bottom(hier, bottom),
+                           data / "observations.csv")
+        out = tmp_path / "out" / "base.csv"
+        assert run_forecast(data, out) == 0
+        chosen = json.loads((tmp_path / "out" / "base_models.json").read_text())
+        assert chosen["a"] == {"model": "snaive", "cv_mase": None}
+        assert read_forecast_set(out).column("a").tolist() == [0.0] * 7
 
 
 class TestReconcile:
@@ -581,6 +602,8 @@ BAD_VALUES = [
     ("reconcile", "methods", "bu,xyz"),            # _methods
     ("reconcile", "shrinkage", "2"),               # _unit_float
     ("evaluate", "metric", "xyz"),                 # _one_of
+    ("synth", "start", "notadate"),                # GeneratorSpec
+    ("synth", "m_season", "0"),                    # GeneratorSpec
 ]
 REQUIRED_ARGS = {
     "forecast": ["--hierarchy", "h.csv", "--observations", "o.csv",
@@ -741,3 +764,52 @@ class TestTopLevel:
         main(["synth"])
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error", "message", "exit_code"}
+
+
+def test_every_option_is_read(tmp_path, monkeypatch):
+    """Each subcommand reads every one of its ``COMMANDS`` rows, so an
+    option cannot outlive the code that used it."""
+    read, original = {}, cli.settings
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            self.seen.add(key)
+            return super().__getitem__(key)
+
+    def recording_settings(args, rows):
+        cfg = Recording(original(args, rows))
+        cfg.seen = read.setdefault(args.command, set())
+        return cfg
+
+    monkeypatch.setattr(cli, "settings", recording_settings)
+
+    d = tmp_path / "data"
+    data = ["--hierarchy", str(d / "hierarchy.csv"),
+            "--observations", str(d / "observations.csv"),
+            "--exog", str(d / "exog.csv")]
+    split = data + ["--split", "70"]
+    rec = tmp_path / "rec"
+    italian = tmp_path / "pasta.csv"
+    italian.write_text(ITALIAN_CSV)
+    runs = [
+        ["synth", "--out", str(d), "--children-per-level", "2", "--t", "80",
+         "--regime", "switching", "--seed", "1"],
+        ["forecast", *split, "--out", str(tmp_path / "base.csv"),
+         "--include-narx", "false", "--include-combinations", "false"],
+        ["reconcile", *data, "--base", str(tmp_path / "base.csv"),
+         "--out-dir", str(rec)],
+        ["nnd", *split, "--epochs", "1", "--out-dir", str(tmp_path / "nnd")],
+        ["evaluate", *split, "--rank-tests", "true",
+         "--forecasts", f"{rec / 'bu.csv'},{rec / 'ahp.csv'}",
+         "--out-dir", str(tmp_path / "ev")],
+        ["plot", *data, "--forecasts", str(rec / "bu.csv"), "--nodes", "total",
+         "--out-dir", str(tmp_path / "plots")],
+        ["fetch-italian", "--out", str(tmp_path / "it"),
+         "--url", italian.as_uri()],
+    ]
+    assert [argv[0] for argv in runs] == list(cli.COMMANDS)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    for command, (_, _, rows) in cli.COMMANDS.items():
+        unread = {key for key, _, _ in rows} - read[command]
+        assert not unread, f"{command} never reads {sorted(unread)}"

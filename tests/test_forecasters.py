@@ -3,8 +3,8 @@ import pytest
 
 from hiercast import (Arx, CombCls, CombMean, ConfigError, CVConfig, Ets,
                       Naive, Narx, SeasonalNaive, calendar_matrix, cls_weights,
-                      combine_mean, expanding_window_cv, project_simplex,
-                      select_model)
+                      combine_mean, default_candidates, expanding_window_cv,
+                      project_simplex, select_model)
 from hiercast import kernels
 from hiercast.forecasters import _lags
 from hiercast.errors import DataError, NumericError
@@ -282,3 +282,23 @@ class TestSelectModel:
     def test_no_candidates_rejected(self):
         with pytest.raises(ConfigError):
             select_model(np.arange(60.0), None, [], self._cv(60))
+
+    @pytest.mark.parametrize("week", [[0.0] * 7, [3.5] * 7,
+                                      [1.0, 5.0, 3.0, 4.0, 2.0, 6.0, 0.5]],
+                             ids=["zeros", "constant", "weekly"])
+    def test_seasonally_constant_history_falls_back_to_seasonal_naive(self, week):
+        # MASE's scale is zero on every fold, so no candidate gets a score
+        y = np.tile(week, 31)
+        cands = default_candidates(7, include_narx=False,
+                                   include_combinations=False)
+        fitted, kind, score = select_model(
+            y[:200], None, cands, CVConfig.last_folds(200, 7, 7), m_season=7)
+        assert (kind, score) == ("snaive", None)
+        assert np.array_equal(fitted.forecast(14), y[200:214])
+
+    def test_all_candidates_failing_otherwise_still_raises(self, rng):
+        # every fold trains on fewer than the 14 rows Holt-Winters needs
+        y = rng.standard_normal(60)
+        cv = CVConfig(starting_window=10, ending_window=12, horizon=7)
+        with pytest.raises(NumericError, match="all model candidates failed"):
+            select_model(y, None, [Ets("hw", 7)], cv, m_season=7)

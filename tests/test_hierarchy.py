@@ -18,10 +18,11 @@ def two_level():
 
 class TestSummingMatrix:
     def test_smallest_hierarchy(self):
-        S = build_summing_matrix(two_level())
+        h = two_level()
+        S = build_summing_matrix(h)
         assert S.entries.tolist() == [[1, 1], [1, 0], [0, 1]]
-        assert S.row_index == ("total", "a", "b")
-        assert S.col_index == ("a", "b")
+        assert h.node_ids == ("total", "a", "b")
+        assert h.bottom_ids == ["a", "b"]
 
     def test_grocery_shape(self):
         # 1 store, 4 brands, 42/45/10/21 items -> 123 x 118
@@ -55,10 +56,10 @@ class TestSummingMatrix:
 
     def test_ordering_stable_under_permutation(self):
         nodes = [("total", None, 0), ("b", "total", 1), ("a", "total", 1)]
-        S1 = build_summing_matrix(Hierarchy.from_nodes(nodes))
-        S2 = build_summing_matrix(Hierarchy.from_nodes(nodes[::-1]))
+        h1, h2 = Hierarchy.from_nodes(nodes), Hierarchy.from_nodes(nodes[::-1])
+        S1, S2 = build_summing_matrix(h1), build_summing_matrix(h2)
         assert np.array_equal(S1.entries, S2.entries)
-        assert S1.row_index == S2.row_index
+        assert h1.node_ids == h2.node_ids
 
     def test_interior_row_is_sum_of_child_rows(self):
         h = make_hierarchy((2, 3))
@@ -124,7 +125,7 @@ class TestAggregate:
         S = build_summing_matrix(h)
         bottom = rng.standard_normal((5, 4))
         agg = aggregate(S, bottom)
-        col = {n: j for j, n in enumerate(S.col_index)}
+        col = {n: j for j, n in enumerate(h.bottom_ids)}
         for i, node in enumerate(h.node_ids):
             leaves = h.descendants_at_bottom(node)
             expected = sum(bottom[:, col[leaf]] for leaf in leaves)

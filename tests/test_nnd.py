@@ -138,6 +138,41 @@ class TestTrainDisaggregate:
         for a, b in zip(m1.net.params, m2.net.params):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("parent", ["total", "g00"])
+    def test_rows_from_end_on_do_not_reach_the_model(self, rng, parent):
+        # two panels that differ only in bottom values and exog from ``end``
+        # on; the root's children carry the mean of their leaves' exog
+        hier = make_hierarchy((2, 2))
+        T, end = 90, 70
+        bottom = 10.0 + rng.random((T, 4))
+        promo = (rng.random((T, 4)) < 0.3).astype(float)
+        late_bottom, late_promo = bottom.copy(), promo.copy()
+        late_bottom[end:] = 50.0 + rng.random((T - end, 4))
+        late_promo[end:] = 1.0 - promo[end:]
+
+        def panel(b, p):
+            exog = {leaf: (["promo"], p[:, [j]])
+                    for j, leaf in enumerate(hier.bottom_ids)}
+            return panel_from_bottom(hier, b, exog=exog,
+                                     calendar=("dow", "month"))
+
+        first, second = panel(bottom, promo), panel(late_bottom, late_promo)
+        kids = hier.children(parent)
+        cfg = tiny_cfg(window=WindowConfig(w=7))
+        models = [train_nnd(first.slice_rows(0, end), parent, kids, cfg),
+                  train_nnd(first, parent, kids, cfg, end=end),
+                  train_nnd(second, parent, kids, cfg, end=end)]
+        ref = models[0].net
+        for model in models[1:]:
+            net = model.net
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(net.params, ref.params))
+            assert np.array_equal(net.history, ref.history)
+            assert net.best_epoch == ref.best_epoch
+            for field in ("exog_mean", "exog_std", "win_mean", "win_std"):
+                assert np.array_equal(getattr(net.scaler, field),
+                                      getattr(ref.scaler, field))
+
     def test_nonfinite_parent_forecast_rejected(self):
         panel = fixed_share_panel(T=60)
         model = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
@@ -157,7 +192,7 @@ def _disaggregate_stepwise(model, parent_forecast, features, parent_history):
     """One one-row ``predict`` per step, each window cut after appending that
     step's forecast: the loop that batched ``disaggregate`` replaced."""
     hist = list(np.asarray(parent_history, dtype=float).ravel())
-    w = model.window.w
+    w = model.net.spec.window
     out = np.empty((len(parent_forecast), len(model.child_ids)))
     for i, value in enumerate(parent_forecast):
         hist.append(value)
