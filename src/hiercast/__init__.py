@@ -18,9 +18,8 @@ from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
 from .evaluate import (CVConfig, EvalReport, NemenyiResult, chi2_sf,
                        expanding_window_cv, friedman_test, mase,
                        nemenyi_svg, nemenyi_test, smape)
-from .nnd import (ArchConfig, DisaggregationModel, NndConfig, NndResult,
-                  WindowConfig, disaggregate, make_windows, raw_violation,
-                  train_nnd)
+from .nnd import (ArchConfig, NndConfig, NndResult, WindowConfig,
+                  disaggregate, make_windows, raw_violation, train_nnd)
 from .synthetic import GeneratorSpec, generate, write_dataset
 from .seeding import derive_seed
 
@@ -41,8 +40,7 @@ __all__ = [
     "friedman_test", "nemenyi_test", "NemenyiResult", "EvalReport",
     "chi2_sf", "nemenyi_svg",
     "WindowConfig", "ArchConfig", "NndConfig", "NndResult",
-    "DisaggregationModel", "make_windows", "train_nnd", "disaggregate",
-    "raw_violation",
+    "make_windows", "train_nnd", "disaggregate", "raw_violation",
     "GeneratorSpec", "generate", "write_dataset",
     "derive_seed",
 ]

@@ -221,7 +221,7 @@ def cmd_forecast(cfg):
     chosen = {}
     for j, node_id in enumerate(nodes):
         y = panel.series(node_id)[:n_train]
-        _, X_all = feature_matrix(panel, [node_id])
+        X_all = feature_matrix(panel, [node_id])
         X = X_all if X_all.shape[1] else None
         cands = default_candidates(
             m_season,
@@ -315,8 +315,8 @@ def cmd_nnd(cfg):
         timestamps=_future_timestamps(panel, n_train, h),
         values=result.values,
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
-    for parent_id, model in sorted(result.models.items()):
-        neuralnet.save_network(model.net, os.path.join(models_dir, f"{parent_id}.net"))
+    for parent_id, net in sorted(result.models.items()):
+        neuralnet.save_network(net, os.path.join(models_dir, f"{parent_id}.net"))
     with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
         json.dump({
             "strategy": strategy,

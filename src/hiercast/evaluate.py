@@ -78,13 +78,18 @@ class CVConfig:
     @classmethod
     def last_folds(cls, n_train, h, m_season, start=None, end=None, step=None):
         """The folds given, else the last three h-step folds of n_train
-        rows, none with fewer than two seasons plus one row of training."""
-        return cls(
-            starting_window=(max(2 * m_season + 1, n_train - 3 * h)
-                             if start is None else start),
-            ending_window=n_train - h if end is None else end,
-            horizon=h, step=h if step is None else step,
-        )
+        rows, none with fewer than two seasons plus one row of training.
+        Raises ConfigError when n_train rows cannot hold the first fold."""
+        if start is None:
+            start = max(2 * m_season + 1, n_train - 3 * h)
+        if end is None and h >= 1 and n_train - h < start:
+            raise ConfigError(
+                f"{n_train} training rows are too few for cross-validation at "
+                f"horizon {h}: the first fold needs {start + h} "
+                f"({start} to fit, {h} to score)")
+        return cls(starting_window=start,
+                   ending_window=n_train - h if end is None else end,
+                   horizon=h, step=h if step is None else step)
 
     def fold_sizes(self, series_length):
         """Training sizes of all folds with a full test window available."""

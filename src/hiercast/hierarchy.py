@@ -286,9 +286,6 @@ class SeriesPanel:
         stacked = np.stack([self.exog[n][1] for n in leaves])
         return list(names), stacked.mean(axis=0)
 
-    def calendar_features(self):
-        return calendar_matrix(self.timestamps, self.calendar)
-
     def slice_rows(self, start, stop):
         exog = {n: (names, mat[start:stop]) for n, (names, mat) in self.exog.items()}
         return SeriesPanel(

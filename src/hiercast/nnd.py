@@ -8,8 +8,8 @@ forecast sets are re-aggregated from the bottom level, so they are exactly
 coherent; the raw network violation is reported as a diagnostic.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -18,7 +18,8 @@ from . import neuralnet
 from .errors import ConfigError, DataError
 from .evaluate import CVConfig
 from .forecasters import Ets, Naive, SeasonalNaive, select_model
-from .hierarchy import SeriesPanel, build_summing_matrix, aggregate
+from .hierarchy import (SeriesPanel, aggregate, build_summing_matrix,
+                        calendar_matrix)
 from .seeding import derive_seed
 
 
@@ -59,13 +60,6 @@ class NndConfig:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
 
 
-@dataclass
-class DisaggregationModel:
-    parent_id: str
-    child_ids: tuple
-    net: neuralnet.TrainedNetwork
-
-
 def make_windows(series, cfg: WindowConfig):
     """Sliding lag windows; the window for target index t covers
     t-w+1..t inclusive.  Returns (windows (n, w), target_indices)."""
@@ -79,25 +73,15 @@ def make_windows(series, cfg: WindowConfig):
 
 
 def feature_matrix(panel: SeriesPanel, child_ids):
-    """Per-step feature rows: child exog columns in canonical child order,
-    then calendar dummies (one-hot, first category dropped)."""
-    names, parts = [], []
-    for child in child_ids:
-        c_names, mat = panel.exog_for(child)
-        for j, var in enumerate(c_names):
-            names.append(f"{child}:{var}")
-            parts.append(mat[:, j])
-    cal_names, cal = panel.calendar_features()
-    names.extend(cal_names)
-    for j in range(cal.shape[1]):
-        parts.append(cal[:, j])
-    if not parts:
-        return [], np.zeros((panel.T, 0))
-    return names, np.column_stack(parts)
+    """Per-step feature rows (T, d): child exog columns in canonical child
+    order, then calendar dummies (one-hot, first category dropped)."""
+    return np.column_stack(
+        [panel.exog_for(child)[1] for child in child_ids]
+        + [calendar_matrix(panel.timestamps, panel.calendar)[1]])
 
 
 def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
-              end=None) -> DisaggregationModel:
+              end=None) -> neuralnet.TrainedNetwork:
     """Step 1: fit the disaggregation network on observed history.
 
     Uses panel rows [0, end) (default: the whole panel).  The window input
@@ -106,9 +90,8 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
     step.  Every window ends below ``end`` and the features are built row
     by row, so rows from ``end`` on do not reach the model.
     """
-    child_ids = tuple(child_ids)
     windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
-    feats = feature_matrix(panel, child_ids)[1][t_idx]
+    feats = feature_matrix(panel, child_ids)[t_idx]
     targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
 
     seed = derive_seed(cfg.seed, f"nnd:{parent_id}")
@@ -121,19 +104,17 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
             out_dim=m, exog_dim=d, window=cfg.window.w,
             n_conv=arch.n_conv, n_dense=arch.n_dense,
         )
-        _, net = neuralnet.grid_search(specs, (feats, windows, targets), tcfg)
-    else:
-        spec = neuralnet.NetworkSpec(
-            out_dim=m, exog_dim=d, window=cfg.window.w,
-            mlp_widths=(arch.hidden,) * arch.n_dense,
-            conv_filters=(arch.filters,) * arch.n_conv,
-            kernel_size=arch.kernel_size,
-        )
-        net = neuralnet.train(spec, (feats, windows, targets), tcfg)
-    return DisaggregationModel(parent_id=parent_id, child_ids=child_ids, net=net)
+        return neuralnet.grid_search(specs, (feats, windows, targets), tcfg)[1]
+    spec = neuralnet.NetworkSpec(
+        out_dim=m, exog_dim=d, window=cfg.window.w,
+        mlp_widths=(arch.hidden,) * arch.n_dense,
+        conv_filters=(arch.filters,) * arch.n_conv,
+        kernel_size=arch.kernel_size,
+    )
+    return neuralnet.train(spec, (feats, windows, targets), tcfg)
 
 
-def disaggregate(model: DisaggregationModel, parent_forecast, features,
+def disaggregate(net: neuralnet.TrainedNetwork, parent_forecast, features,
                  parent_history) -> np.ndarray:
     """Step 2: feed parent forecasts through the trained network.
 
@@ -149,12 +130,12 @@ def disaggregate(model: DisaggregationModel, parent_forecast, features,
     if features.shape[0] < h:
         raise DataError(f"need {h} feature rows, got {features.shape[0]}")
     hist = np.asarray(parent_history, dtype=float).ravel()
-    w = model.net.spec.window
+    w = net.spec.window
     if len(hist) < w - 1:
         raise DataError(f"insufficient history ({len(hist)}) to fill a window of {w}")
     series = np.concatenate([hist[len(hist) - w + 1:], parent_forecast])
     windows, _ = make_windows(series, WindowConfig(w=w))
-    return neuralnet.predict(model.net, features[:h], windows)
+    return neuralnet.predict(net, features[:h], windows)
 
 
 def raw_violation(child_forecasts, parent_forecast):
@@ -177,23 +158,20 @@ def _root_forecast(panel, node_id, n_train, h, m_season):
     return fitted.forecast(h)
 
 
-def _train_models(panel, parents_children, cfg, n_train):
-    """Train one model per (parent, children) pair, optionally in parallel;
-    results keyed by parent and independent of scheduling."""
-    def job(pair):
-        parent_id, child_ids = pair
-        return parent_id, train_nnd(panel, parent_id, child_ids, cfg, end=n_train)
-
-    if cfg.jobs > 1 and len(parents_children) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            return dict(pool.map(job, parents_children))
-    return dict(job(pair) for pair in parents_children)
+def _train_pair(panel, cfg, end, pair):
+    """Train one (parent, children) pair's network on rows [0, end); a
+    failure names the parent.  Module level, so a worker process can run it."""
+    parent_id, child_ids = pair
+    try:
+        return train_nnd(panel, parent_id, child_ids, cfg, end=end)
+    except Exception as exc:
+        raise type(exc)(f"[node {parent_id}] {exc}") from exc
 
 
 @dataclass
 class NndResult:
     values: np.ndarray          # (h, M) coherent, canonical node order
-    models: dict                # parent_id -> DisaggregationModel
+    models: dict                # parent_id -> neuralnet.TrainedNetwork
     raw_violations: dict        # parent_id -> scale-normalized raw gap
     root_forecast: np.ndarray
 
@@ -206,9 +184,11 @@ def _pairs_below(hier, level):
 
 
 def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
-    """Train one model per (parent, children) pair, then disaggregate from
-    ``start_forecasts`` (node -> forecast, or None to select one) down the
-    pairs in order.  The published set is re-aggregated from the bottom."""
+    """Train one network per (parent, children) pair, in up to ``cfg.jobs``
+    worker processes (the networks do not depend on how many), then
+    disaggregate from ``start_forecasts`` (node -> forecast, or None to
+    select one) down the pairs in order.  The published set is
+    re-aggregated from the bottom."""
     hier = panel.hierarchy
     if hier.K < 2:
         raise DataError("disaggregation needs at least 2 levels")
@@ -219,21 +199,31 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         if fc is None:
             fc = _root_forecast(panel, node_id, n_train, h, m_season)
         forecasts[node_id] = np.asarray(fc, dtype=float)
-    models = _train_models(panel, pairs, cfg, n_train)
+    train = partial(_train_pair, panel, cfg, n_train)
+    workers = min(cfg.jobs, len(pairs))
+    if workers <= 1:
+        nets = list(map(train, pairs))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # spawn, not fork: this process may run BLAS threads, and a forked
+        # child would inherit the locks they hold
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            nets = list(pool.map(train, pairs))
+    models = {parent_id: net for (parent_id, _), net in zip(pairs, nets)}
     violations = {}
-    for node_id, _ in pairs:
-        model = models[node_id]
+    for node_id, child_ids in pairs:
         try:
-            _, feats_all = feature_matrix(panel, model.child_ids)
             child_fc = disaggregate(
-                model, forecasts[node_id],
-                feats_all[n_train:n_train + h],
+                models[node_id], forecasts[node_id],
+                feature_matrix(panel, child_ids)[n_train:n_train + h],
                 panel.series(node_id)[:n_train],
             )
         except Exception as exc:
             raise type(exc)(f"[node {node_id}] {exc}") from exc
         violations[node_id] = raw_violation(child_fc, forecasts[node_id])
-        for j, child in enumerate(model.child_ids):
+        for j, child in enumerate(child_ids):
             forecasts[child] = child_fc[:, j]
     bottom = np.column_stack([forecasts[n] for n in hier.bottom_ids])
     return NndResult(

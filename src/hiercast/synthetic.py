@@ -39,6 +39,10 @@ class GeneratorSpec:
             raise ConfigError("children_per_level must be positive")
         if self.m_season < 1:
             raise ConfigError(f"m_season must be >= 1, got {self.m_season}")
+        if self.noise_sigma < 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0 <= self.promo_prob <= 1:
+            raise ConfigError(f"promo_prob must lie in [0, 1], got {self.promo_prob}")
         try:
             start = np.datetime64(self.start, "s")
         except ValueError:

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,18 @@ class TestSynth:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "chaotic" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,key", [
+        (["--noise-sigma", "-1"], "noise_sigma"),
+        (["--promo-prob", "2", "--regime", "switching"], "promo_prob"),
+    ])
+    def test_out_of_range_setting_writes_nothing(self, tmp_path, capsys,
+                                                 extra, key):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), *extra]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and key in err["message"]
         assert not out.exists()
 
     def test_missing_out_is_config_error(self, capsys):
@@ -551,6 +566,64 @@ class TestNndCommand:
         assert err["error"] == "DataError" and message in err["message"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_training_failure_names_its_parent(self, dataset, tmp_path,
+                                               capsys, jobs):
+        # under --jobs 2 the error crosses a process boundary
+        out_dir = tmp_path / "nnd"
+        code = main([
+            "nnd",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "40", "--window", "45", "--epochs", "1",
+            "--jobs", jobs, "--out-dir", str(out_dir),
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DataError", "exit_code": 3,
+            "message": "[node total] series length 40 shorter than window 45"}
+        assert not out_dir.exists()
+
+    def test_jobs_do_not_change_output_bytes(self, dataset, tmp_path):
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outputs = {}
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            subprocess.run([
+                sys.executable, "-m", "hiercast.cli", "nnd",
+                "--hierarchy", str(dataset / "hierarchy.csv"),
+                "--observations", str(dataset / "observations.csv"),
+                "--split", "100", "--horizon", "7", "--window", "7",
+                "--epochs", "3", "--hidden", "4", "--n-dense", "1",
+                "--filters", "2", "--n-conv", "1", "--kernel-size", "2",
+                "--seed", "5", "--jobs", jobs, "--out-dir", str(out_dir),
+            ], env=env, check=True, capture_output=True)
+            outputs[jobs] = {str(p.relative_to(out_dir)): p.read_bytes()
+                             for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        assert sorted(outputs["1"]) == [
+            "diagnostics.json", "forecasts.csv", "models/g00.net",
+            "models/g01.net", "models/total.net"]
+        assert outputs["2"] == outputs["1"]
+
+
+@pytest.mark.parametrize("command", ["forecast", "nnd"])
+def test_split_too_short_for_cv_names_its_cause(dataset, tmp_path, capsys,
+                                                command):
+    out = ["--out", str(tmp_path / "out" / "base.csv")] if command == "forecast" \
+        else ["--out-dir", str(tmp_path / "out")]
+    assert main([command,
+                 "--hierarchy", str(dataset / "hierarchy.csv"),
+                 "--observations", str(dataset / "observations.csv"),
+                 "--split", "20", "--horizon", "7", *out]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == (
+        "20 training rows are too few for cross-validation at horizon 7: "
+        "the first fold needs 22 (15 to fit, 7 to score)")
+    assert not (tmp_path / "out").exists()
+
 
 class TestPlot:
     def test_writes_svg_per_node(self, dataset, tmp_path):
@@ -604,6 +677,8 @@ BAD_VALUES = [
     ("evaluate", "metric", "xyz"),                 # _one_of
     ("synth", "start", "notadate"),                # GeneratorSpec
     ("synth", "m_season", "0"),                    # GeneratorSpec
+    ("synth", "noise_sigma", "-1"),                # GeneratorSpec
+    ("synth", "promo_prob", "2"),                  # GeneratorSpec
 ]
 REQUIRED_ARGS = {
     "forecast": ["--hierarchy", "h.csv", "--observations", "o.csv",

@@ -84,6 +84,15 @@ class TestCV:
         with pytest.raises(ConfigError):
             CVConfig(starting_window=1, ending_window=5, horizon=2)
 
+    def test_split_too_short_names_rows_horizon_and_need(self):
+        # the first fold needs two seasons plus one row to fit, then h to score
+        with pytest.raises(ConfigError) as info:
+            CVConfig.last_folds(20, 7, 7)
+        assert str(info.value) == (
+            "20 training rows are too few for cross-validation at horizon 7: "
+            "the first fold needs 22 (15 to fit, 7 to score)")
+        assert CVConfig.last_folds(22, 7, 7).fold_sizes(22) == [15]
+
     def test_no_leakage(self):
         """The model must never see data at or beyond its fold boundary."""
         seen = []

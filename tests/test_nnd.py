@@ -3,8 +3,8 @@ import pytest
 
 from hiercast import (ArchConfig, ConfigError, DataError, Hierarchy,
                       NndConfig, WindowConfig, build_summing_matrix,
-                      coherence_violation, disaggregate, make_windows,
-                      raw_violation, train_nnd)
+                      calendar_matrix, coherence_violation, disaggregate,
+                      make_windows, raw_violation, train_nnd)
 from hiercast import kernels, neuralnet
 from hiercast.neuralnet import TrainConfig
 from hiercast.nnd import STRATEGIES, feature_matrix, run
@@ -95,15 +95,32 @@ class TestFeatures:
 
     def test_promo_plus_dow_vector_length(self, rng):
         panel = self._promo_panel(rng)
-        names, mat = feature_matrix(panel, ["g00", "g01"])
-        assert mat.shape == (panel.T, 2 + 6)
-        assert names[:2] == ["g00:promo", "g01:promo"]
-        assert names[2:] == [f"dow_{i}" for i in range(1, 7)]
+        dow = calendar_matrix(panel.timestamps, ("dow",))[1]
+        for kids in (["g00", "g01"], ["g01", "g00"]):
+            mat = feature_matrix(panel, kids)
+            assert mat.shape == (panel.T, 2 + 6)
+            for j, kid in enumerate(kids):
+                assert np.array_equal(mat[:, j], panel.exog[kid][1][:, 0])
+            assert np.array_equal(mat[:, 2:], dow)
+
+    def test_interior_child_takes_mean_of_leaf_promos(self, rng):
+        h = make_hierarchy((2, 2))
+        T = 21
+        promo = rng.integers(0, 2, (T, 4)).astype(float)
+        exog = {leaf: (["promo"], promo[:, [j]])
+                for j, leaf in enumerate(h.bottom_ids)}
+        panel = panel_from_bottom(h, rng.random((T, 4)) + 1, exog=exog,
+                                  calendar=("dow", "month"))
+        mat = feature_matrix(panel, ["g00", "g01"])
+        assert mat.shape == (T, 2 + 6 + 11)
+        assert np.array_equal(mat[:, 0], promo[:, :2].mean(axis=1))
+        assert np.array_equal(mat[:, 1], promo[:, 2:].mean(axis=1))
+        assert np.array_equal(
+            mat[:, 2:], calendar_matrix(panel.timestamps, ("dow", "month"))[1])
 
     def test_no_exog_no_calendar_empty(self, rng):
         panel = fixed_share_panel(T=20)
-        names, mat = feature_matrix(panel, list(panel.hierarchy.bottom_ids))
-        assert names == []
+        mat = feature_matrix(panel, list(panel.hierarchy.bottom_ids))
         assert mat.shape == (20, 0)
 
 
@@ -119,11 +136,11 @@ class TestTrainDisaggregate:
             seed=1,
         )
         n_train, h = 220, 14
-        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids, cfg,
-                          end=n_train)
+        kids = panel.hierarchy.bottom_ids
+        net = train_nnd(panel, "total", kids, cfg, end=n_train)
         parent = panel.series("total")
-        _, feats = feature_matrix(panel, model.child_ids)
-        out = disaggregate(model, parent[n_train:n_train + h],
+        feats = feature_matrix(panel, kids)
+        out = disaggregate(net, parent[n_train:n_train + h],
                            feats[n_train:n_train + h], parent[:n_train])
         truth = np.outer(parent[n_train:n_train + h], [0.3, 0.7])
         rel = np.abs(out - truth) / np.abs(truth)
@@ -133,9 +150,9 @@ class TestTrainDisaggregate:
         panel = fixed_share_panel(T=60)
         cfg = tiny_cfg(seed=5)
         kids = panel.hierarchy.bottom_ids
-        m1 = train_nnd(panel, "total", kids, cfg, end=50)
-        m2 = train_nnd(panel, "total", kids, cfg, end=50)
-        for a, b in zip(m1.net.params, m2.net.params):
+        n1 = train_nnd(panel, "total", kids, cfg, end=50)
+        n2 = train_nnd(panel, "total", kids, cfg, end=50)
+        for a, b in zip(n1.params, n2.params):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("parent", ["total", "g00"])
@@ -159,12 +176,10 @@ class TestTrainDisaggregate:
         first, second = panel(bottom, promo), panel(late_bottom, late_promo)
         kids = hier.children(parent)
         cfg = tiny_cfg(window=WindowConfig(w=7))
-        models = [train_nnd(first.slice_rows(0, end), parent, kids, cfg),
-                  train_nnd(first, parent, kids, cfg, end=end),
-                  train_nnd(second, parent, kids, cfg, end=end)]
-        ref = models[0].net
-        for model in models[1:]:
-            net = model.net
+        ref, *nets = [train_nnd(first.slice_rows(0, end), parent, kids, cfg),
+                      train_nnd(first, parent, kids, cfg, end=end),
+                      train_nnd(second, parent, kids, cfg, end=end)]
+        for net in nets:
             assert all(np.array_equal(a, b)
                        for a, b in zip(net.params, ref.params))
             assert np.array_equal(net.history, ref.history)
@@ -175,29 +190,29 @@ class TestTrainDisaggregate:
 
     def test_nonfinite_parent_forecast_rejected(self):
         panel = fixed_share_panel(T=60)
-        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
-                          tiny_cfg(), end=50)
+        net = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
+                        tiny_cfg(), end=50)
         with pytest.raises(DataError):
-            disaggregate(model, [np.nan], np.zeros((1, 0)), np.ones(10))
+            disaggregate(net, [np.nan], np.zeros((1, 0)), np.ones(10))
 
     def test_insufficient_history_rejected(self):
         panel = fixed_share_panel(T=60)
-        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
-                          tiny_cfg(window=WindowConfig(w=10)), end=50)
+        net = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
+                        tiny_cfg(window=WindowConfig(w=10)), end=50)
         with pytest.raises(DataError, match="history"):
-            disaggregate(model, [1.0], np.zeros((1, 0)), np.ones(3))
+            disaggregate(net, [1.0], np.zeros((1, 0)), np.ones(3))
 
 
-def _disaggregate_stepwise(model, parent_forecast, features, parent_history):
+def _disaggregate_stepwise(net, parent_forecast, features, parent_history):
     """One one-row ``predict`` per step, each window cut after appending that
     step's forecast: the loop that batched ``disaggregate`` replaced."""
     hist = list(np.asarray(parent_history, dtype=float).ravel())
-    w = model.net.spec.window
-    out = np.empty((len(parent_forecast), len(model.child_ids)))
+    w = net.spec.window
+    out = np.empty((len(parent_forecast), net.spec.out_dim))
     for i, value in enumerate(parent_forecast):
         hist.append(value)
         window = np.asarray(hist[-w:])
-        out[i] = neuralnet.predict(model.net, features[i][None, :], window[None, :])[0]
+        out[i] = neuralnet.predict(net, features[i][None, :], window[None, :])[0]
     return out
 
 
@@ -221,11 +236,11 @@ class TestBatchedDisaggregate:
         panel = self.promo_panel()
         cfg = tiny_cfg(window=WindowConfig(w=w),
                        train=TrainConfig(max_epochs=3, batch_size=8))
-        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids, cfg,
-                          end=n_train)
+        kids = panel.hierarchy.bottom_ids
+        net = train_nnd(panel, "total", kids, cfg, end=n_train)
         parent = panel.series("total")
-        _, feats = feature_matrix(panel, model.child_ids)
-        args = (model, parent[n_train:n_train + h] * 1.03,
+        feats = feature_matrix(panel, kids)
+        args = (net, parent[n_train:n_train + h] * 1.03,
                 feats[n_train:n_train + h], parent[:n_train])
         batched = disaggregate(*args)
         stepwise = _disaggregate_stepwise(*args)
@@ -234,10 +249,11 @@ class TestBatchedDisaggregate:
 
     def test_history_of_exactly_w_minus_one(self):
         panel = fixed_share_panel(T=60)
-        model = train_nnd(panel, "total", panel.hierarchy.bottom_ids,
-                          tiny_cfg(window=WindowConfig(w=4)), end=50)
-        _, feats = feature_matrix(panel, model.child_ids)
-        args = (model, np.full(5, 20.0), feats[50:55], panel.series("total")[:3])
+        kids = panel.hierarchy.bottom_ids
+        net = train_nnd(panel, "total", kids, tiny_cfg(window=WindowConfig(w=4)),
+                        end=50)
+        feats = feature_matrix(panel, kids)
+        args = (net, np.full(5, 20.0), feats[50:55], panel.series("total")[:3])
         np.testing.assert_allclose(disaggregate(*args), _disaggregate_stepwise(*args),
                                    rtol=self.RTOL, atol=0)
 
@@ -287,8 +303,7 @@ class TestStrategies:
         panel = coherent_panel_for(italian_hierarchy(), 40)
         res = run("nnd1", panel, 30, 5, tiny_cfg(), m_season=7)
         assert len(res.models) == 1
-        model = res.models["store"]
-        assert len(model.child_ids) == 118
+        assert res.models["store"].spec.out_dim == 118
         S = build_summing_matrix(panel.hierarchy)
         assert coherence_violation(S, res.values) <= 1e-9
 
@@ -361,9 +376,18 @@ class TestStrategies:
 
     def test_parallel_jobs_deterministic(self):
         panel = coherent_panel_for(make_hierarchy((3, 2)), 60)
-        r1 = run("nnd2", panel, 45, 5, tiny_cfg(jobs=1), m_season=7)
-        r2 = run("nnd2", panel, 45, 5, tiny_cfg(jobs=4), m_season=7)
-        assert np.array_equal(r1.values, r2.values)
+        ref, *others = [run("nnd2", panel, 45, 5, tiny_cfg(jobs=jobs), m_season=7)
+                        for jobs in (1, 2, 4)]
+        for res in others:
+            assert np.array_equal(res.values, ref.values)
+            assert res.raw_violations == ref.raw_violations
+            assert list(res.models) == list(ref.models)
+            for parent, net in res.models.items():
+                want = ref.models[parent]
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(net.params, want.params))
+                assert np.array_equal(net.history, want.history)
+                assert net.best_epoch == want.best_epoch
 
     def test_horizon_past_panel_rejected(self):
         panel = fixed_share_panel(T=60)

@@ -21,6 +21,20 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             GeneratorSpec(T=10, m_season=7)
 
+    @pytest.mark.parametrize("setting", [dict(noise_sigma=-0.1),
+                                         dict(promo_prob=-0.1),
+                                         dict(promo_prob=1.5)])
+    def test_out_of_range_setting_named(self, setting):
+        (key,) = setting
+        with pytest.raises(ConfigError, match=key):
+            GeneratorSpec(**setting)
+
+    @pytest.mark.parametrize("setting", [dict(noise_sigma=0.0),
+                                         dict(promo_prob=0.0),
+                                         dict(promo_prob=1.0)])
+    def test_range_ends_accepted(self, setting):
+        GeneratorSpec(**setting)
+
     def test_off_simplex_fixed_shares(self):
         with pytest.raises(ConfigError):
             GeneratorSpec(fixed_shares=(0.5, 0.6))
