@@ -10,7 +10,8 @@ from .hierarchy import (Hierarchy, SeriesPanel, SummingMatrix, aggregate,
 from .forecastset import ForecastSet, read_forecast_set
 from .forecasters import (Arx, CombCls, CombMean, Ets, Naive, Narx,
                           SeasonalNaive, cls_weights, combine_mean,
-                          default_candidates, project_simplex, select_model)
+                          default_candidates, project_simplex, select_model,
+                          select_models)
 from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
                         middle_out, mint_reconcile, proportions_ahp,
                         proportions_fp, proportions_pha,
@@ -32,7 +33,7 @@ __all__ = [
     "ForecastSet", "read_forecast_set",
     "Naive", "SeasonalNaive", "Arx", "Ets", "Narx", "CombMean", "CombCls",
     "combine_mean", "cls_weights", "project_simplex",
-    "default_candidates", "select_model",
+    "default_candidates", "select_model", "select_models",
     "bottom_up", "apply_topdown", "middle_out", "mint_reconcile",
     "proportions_ahp", "proportions_pha", "proportions_fp",
     "ErrorCovariance", "shrinkage_covariance",

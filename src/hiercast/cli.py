@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, neuralnet
 from .errors import ConfigError, DataError, HiercastError, NumericError
 from .evaluate import SCORERS, CVConfig, EvalReport, nemenyi_svg
-from .forecasters import default_candidates, select_model
+from .forecasters import default_candidates, select_models
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, coherence_violation,
                         format_timestamp, load_error_matrix, load_hierarchy,
@@ -217,22 +217,25 @@ def cmd_forecast(cfg):
     cv = CVConfig.last_folds(n_train, h, m_season, start=cfg["cv_start"],
                              end=cfg["cv_end"], step=cfg["cv_step"])
 
+    Xs = [feature_matrix(panel, [node_id]) for node_id in nodes]
+    Xs = [X if X.shape[1] else None for X in Xs]
+    cands = [default_candidates(
+        m_season,
+        narx_seed=derive_seed(cfg["seed"], f"fstar:{node_id}"),
+        include_narx=cfg["include_narx"],
+        include_combinations=cfg["include_combinations"],
+    ) for node_id in nodes]
+    selected = select_models(
+        np.column_stack([panel.series(node_id)[:n_train] for node_id in nodes]),
+        [X[:n_train] if X is not None else None for X in Xs], cands, cv,
+        m_season=m_season,
+    )
     values = np.empty((h, len(nodes)))
     chosen = {}
-    for j, node_id in enumerate(nodes):
-        y = panel.series(node_id)[:n_train]
-        X_all = feature_matrix(panel, [node_id])
-        X = X_all if X_all.shape[1] else None
-        cands = default_candidates(
-            m_season,
-            narx_seed=derive_seed(cfg["seed"], f"fstar:{node_id}"),
-            include_narx=cfg["include_narx"],
-            include_combinations=cfg["include_combinations"],
-        )
-        fitted, kind, score = select_model(
-            y, X[:n_train] if X is not None else None, cands, cv,
-            m_season=m_season,
-        )
+    for j, (node_id, X, result) in enumerate(zip(nodes, Xs, selected)):
+        if isinstance(result, HiercastError):
+            raise result
+        fitted, kind, score = result
         X_future = (X[n_train:n_train + h]
                     if X is not None and X.shape[0] >= n_train + h else None)
         values[:, j] = fitted.forecast(h, X_future)

@@ -11,8 +11,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels, neuralnet
-from .errors import ConfigError, DataError, NumericError
-from .evaluate import CVConfig, expanding_window_cv
+from .errors import ConfigError, DataError, HiercastError, NumericError
+from .evaluate import CVConfig, expanding_window_cv, fit_each
 
 _ETS_GRID = np.round(np.arange(0.1, 1.0001, 0.1), 10)
 # every (alpha, beta[, gamma]) combination, alpha-major like nested loops
@@ -272,6 +272,15 @@ class Ets:
         return out
 
 
+def _fit_one(model, y, X):
+    """``fit_many`` of the model's class on one series: the fitted model,
+    or the error raised."""
+    fitted, = type(model).fit_many([model], [y], [X])
+    if isinstance(fitted, HiercastError):
+        raise fitted
+    return fitted
+
+
 class Narx:
     """Neural autoregression: an MLP over (lags, exog) with two hidden
     layers of 16 units and scalar output, trained with the shared network
@@ -287,6 +296,43 @@ class Narx:
         self.seed = seed
 
     def fit(self, y, X=None):
+        return _fit_one(self, y, X)
+
+    @staticmethod
+    def fit_many(models, ys, Xs):
+        """Fit ``models[i]`` on ``(ys[i], Xs[i])`` for every i; the networks
+        whose inputs have one shape train as one ``neuralnet.train_many``
+        stack.  Entry i is the fitted model or the error fitting it alone
+        raises."""
+        fitted, stacks = [], {}
+        for i, (model, y, X) in enumerate(zip(models, ys, Xs)):
+            try:
+                feats, targets = model._dataset(y, X)
+            except HiercastError as exc:
+                fitted.append(exc)
+                continue
+            fitted.append(model)
+            stacks.setdefault(feats.shape, []).append((i, feats, targets))
+        for (rows, width), stack in stacks.items():
+            spec = neuralnet.NetworkSpec(
+                out_dim=1, exog_dim=width, window=0,
+                mlp_widths=(16, 16), conv_filters=(),
+            )
+            nets = neuralnet.train_many(
+                spec, [(feats, np.zeros((rows, 0)), targets) for _, feats, targets in stack],
+                [neuralnet.TrainConfig(learning_rate=0.01, max_epochs=300,
+                                       patience=25, seed=models[i].seed)
+                 for i, _, _ in stack])
+            for (i, _, _), net in zip(stack, nets):
+                if isinstance(net, NumericError):
+                    fitted[i] = net
+                else:
+                    models[i].net_ = net
+        return fitted
+
+    def _dataset(self, y, X):
+        """The (lags, exog) feature rows and their targets; also keeps what
+        ``forecast`` reads."""
         y = _check_series(y)
         p = self.p
         if X is not None:
@@ -297,19 +343,10 @@ class Narx:
                 X = None
         if len(y) <= p + 2:
             raise DataError(f"series too short for NAR with lag order {p}")
-        rows = len(y) - p
-        feats = np.column_stack([_lags(y, p)] + ([X[p:]] if X is not None else []))
-        targets = y[p:, None]
-        spec = neuralnet.NetworkSpec(
-            out_dim=1, exog_dim=feats.shape[1], window=0,
-            mlp_widths=(16, 16), conv_filters=(),
-        )
-        cfg = neuralnet.TrainConfig(learning_rate=0.01, max_epochs=300,
-                                    patience=25, seed=self.seed)
-        self.net_ = neuralnet.train(spec, (feats, np.zeros((rows, 0)), targets), cfg)
         self.n_x_ = X.shape[1] if X is not None else 0
         self.tail_ = list(y[-p:])
-        return self
+        feats = np.column_stack([_lags(y, p)] + ([X[p:]] if X is not None else []))
+        return feats, y[p:, None]
 
     def forecast(self, h, X_future=None):
         if h == 0:
@@ -386,6 +423,26 @@ def cls_weights(member_preds, y, max_iter=5000, tol=1e-10):
     return beta
 
 
+def _fit_members(models, ys, Xs):
+    """Fit copies of every combination's members on its (y, X), with one
+    ``fit_each`` call per member position, so NARX members train as one
+    stack.  Entry i is (the fitted members of models[i], in order, up to
+    the first that failed; that member's error, or None).  A combination
+    whose member failed fits no further members, as a loop over them
+    stops."""
+    fitted, errors = [[] for _ in models], [None] * len(models)
+    for j in range(len(models[0].members) if models else 0):
+        live = [i for i, e in enumerate(errors) if e is None]
+        members = fit_each([copy.deepcopy(models[i].members[j]) for i in live],
+                           [ys[i] for i in live], [Xs[i] for i in live])
+        for i, member in zip(live, members):
+            if isinstance(member, HiercastError):
+                errors[i] = member
+            else:
+                fitted[i].append(member)
+    return list(zip(fitted, errors))
+
+
 class CombMean:
     kind = "comb_mean"
 
@@ -395,8 +452,15 @@ class CombMean:
         self.members = list(members)
 
     def fit(self, y, X=None):
-        self.fitted_ = [copy.deepcopy(m).fit(y, X) for m in self.members]
-        return self
+        return _fit_one(self, y, X)
+
+    @staticmethod
+    def fit_many(models, ys, Xs):
+        out = []
+        for model, (fitted, error) in zip(models, _fit_members(models, ys, Xs)):
+            model.fitted_ = fitted
+            out.append(error or model)
+        return out
 
     def forecast(self, h, X_future=None):
         return combine_mean([m.forecast(h, X_future) for m in self.fitted_])
@@ -414,23 +478,49 @@ class CombCls:
         self.members = list(members)
 
     def fit(self, y, X=None):
-        y = _check_series(y)
-        hold = min(28, len(y) // 3)
-        if hold < len(self.members):
-            raise DataError(
-                f"held-out window ({hold}) shorter than member count "
-                f"({len(self.members)})"
-            )
-        cut = len(y) - hold
-        X_head = X[:cut] if X is not None else None
-        X_hold = X[cut:] if X is not None else None
-        preds = []
-        for m in self.members:
-            fitted = copy.deepcopy(m).fit(y[:cut], X_head)
-            preds.append(fitted.forecast(hold, X_hold))
-        self.weights_ = cls_weights(np.column_stack(preds), y[cut:])
-        self.fitted_ = [copy.deepcopy(m).fit(y, X) for m in self.members]
-        return self
+        return _fit_one(self, y, X)
+
+    @staticmethod
+    def fit_many(models, ys, Xs):
+        """Weights from the members fitted on each series' head and scored
+        on its held-out tail, then the members refitted on the whole
+        series; each step runs across the series at once."""
+        out, splits = list(models), {}
+        for i, (model, y, X) in enumerate(zip(models, ys, Xs)):
+            try:
+                y = _check_series(y)
+                hold = min(28, len(y) // 3)
+                if hold < len(model.members):
+                    raise DataError(
+                        f"held-out window ({hold}) shorter than member count "
+                        f"({len(model.members)})"
+                    )
+            except HiercastError as exc:
+                out[i] = exc
+                continue
+            cut = len(y) - hold
+            splits[i] = (y[:cut], X[:cut] if X is not None else None,
+                         y[cut:], X[cut:] if X is not None else None)
+        heads = _fit_members([models[i] for i in splits],
+                             [s[0] for s in splits.values()],
+                             [s[1] for s in splits.values()])
+        for (i, (_, _, y_hold, X_hold)), (fitted, error) in zip(splits.items(), heads):
+            try:
+                # a member's forecast comes before the next member's fit
+                preds = [m.forecast(len(y_hold), X_hold) for m in fitted]
+                if error is not None:
+                    raise error
+            except HiercastError as exc:
+                out[i] = exc
+                continue
+            models[i].weights_ = cls_weights(np.column_stack(preds), y_hold)
+        live = [i for i in splits if out[i] is models[i]]
+        full = _fit_members([models[i] for i in live], [ys[i] for i in live],
+                            [Xs[i] for i in live])
+        for i, (fitted, error) in zip(live, full):
+            models[i].fitted_ = fitted
+            out[i] = error or models[i]
+        return out
 
     def forecast(self, h, X_future=None):
         preds = np.column_stack([m.forecast(h, X_future) for m in self.fitted_])
@@ -464,26 +554,59 @@ def select_model(y, X, candidates, cv: CVConfig, m_season=1):
     When no candidate scores because the largest fold's training rows are
     seasonally constant (MASE's scale is zero on every fold), the result is
     seasonal naive fitted on the full series, with score None: on such a
-    history its forecast is exact."""
-    if not candidates:
+    history its forecast is exact.  This is :func:`select_models` for one
+    series."""
+    y = np.asarray(y, dtype=float)
+    result, = select_models(y[:, None], [X], [candidates], cv, m_season)
+    if isinstance(result, HiercastError):
+        raise result
+    return result
+
+
+def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
+    """:func:`select_model` for n series of one length at once.
+
+    ``Y`` holds the series as the columns of a (T, n) matrix, ``Xs`` is None
+    or a list of n exog matrices (or Nones), and ``candidates[i]`` is series
+    i's candidate list; every list has the same kinds in the same order.
+    Each (candidate, fold) is fitted for all series with one ``fit_each``
+    call, and so is each winner's refit, so the NARX networks of a fold
+    train as one stack.  Returns, per series, (fitted_model, kind,
+    mean_score) or the error that selecting for that series alone raises.
+    """
+    Y = np.asarray(Y, dtype=float)
+    Xs = [None] * Y.shape[1] if Xs is None else list(Xs)
+    if not all(candidates):
         raise ConfigError("no candidates given")
-    results = []
-    for idx, proto in enumerate(candidates):
-        try:
-            score, _ = expanding_window_cv(
-                y, X, lambda: copy.deepcopy(proto), cv,
-                metric="mase", m_season=m_season,
-            )
-        except (NumericError, DataError):
+    if len({len(c) for c in candidates}) > 1:
+        raise ConfigError("every series needs the same number of candidates")
+    scored = [[] for _ in Xs]
+    for idx in range(len(candidates[0]) if candidates else 0):
+        protos = [c[idx] for c in candidates]
+        results = expanding_window_cv(
+            Y, Xs, lambda: [copy.deepcopy(p) for p in protos], cv,
+            metric="mase", m_season=m_season,
+        )
+        for i, result in enumerate(results):
+            if not isinstance(result, NumericError):
+                scored[i].append((result[0], idx))
+    selected, winners = [None] * len(Xs), {}
+    for i, scores in enumerate(scored):
+        if scores:
+            score, idx = min(scores)
+            winners.setdefault(idx, []).append((i, score))
             continue
-        results.append((score, idx, proto))
-    if not results:
-        y = np.asarray(y, dtype=float)
+        y = Y[:, i]
         n, m = max(cv.fold_sizes(len(y))), m_season
         if n > m and np.array_equal(y[m:n], y[:n - m]):
             fallback = SeasonalNaive(m)
-            return fallback.fit(y), fallback.kind, None
-        raise NumericError("all model candidates failed cross-validation")
-    score, _, proto = min(results, key=lambda r: r[:2])
-    fitted = copy.deepcopy(proto).fit(y, X)
-    return fitted, proto.kind, score
+            selected[i] = (fallback.fit(y), fallback.kind, None)
+        else:
+            selected[i] = NumericError("all model candidates failed cross-validation")
+    for idx, series in winners.items():
+        fitted = fit_each([copy.deepcopy(candidates[i][idx]) for i, _ in series],
+                          [Y[:, i] for i, _ in series], [Xs[i] for i, _ in series])
+        for (i, score), model in zip(series, fitted):
+            selected[i] = (model if isinstance(model, HiercastError)
+                           else (model, candidates[i][idx].kind, score))
+    return selected

@@ -3,14 +3,15 @@
 Two branches: an MLP over exogenous features and a CNN over a lag window of
 the aggregate series, concatenated into a linear multi-output head.  Trained
 with Adam on a squared loss carrying an extra penalty on the gap between the
-summed outputs and the summed targets.
+summed outputs and the summed targets.  ``train_many`` trains networks of
+one spec in lock-step as one stack with a leading model axis.
 """
 
 import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -139,9 +140,11 @@ def _shapes(spec: NetworkSpec) -> list:
 
 
 def _views(flat, shapes) -> list:
-    """Arrays of the given shapes as views into one flat vector, in order."""
+    """Arrays of the given shapes as views into one flat vector, in order;
+    a (K, P) stack of flat vectors gives (K, *shape) views."""
     ends = np.cumsum([math.prod(s) for s in shapes])
-    return [a.reshape(s) for a, s in zip(np.split(flat, ends[:-1]), shapes)]
+    return [a.reshape(flat.shape[:-1] + s)
+            for a, s in zip(np.split(flat, ends[:-1], axis=-1), shapes)]
 
 
 def init_params(spec: NetworkSpec, rng) -> list:
@@ -158,46 +161,77 @@ def init_params(spec: NetworkSpec, rng) -> list:
 
 
 def _dense(x, W, b):
-    """Dense layer with the signature of ``kernels.conv1d_same``."""
-    return x @ W + b
+    """Dense layer with the signature of ``kernels.conv1d_same``; also on a
+    stack of models' arrays with a leading model axis."""
+    return x @ W + b[..., None, :]
 
 
 def _dense_grad(x, W, gout):
     """Gradients (gx, gW, gb) of ``_dense``, like ``kernels.conv1d_same_grad``."""
-    return gout @ W.T, x.T @ gout, gout.sum(axis=0)
+    return gout @ W.mT, x.mT @ gout, gout.sum(axis=-2)
 
 
 def _branches(spec, exog, window):
-    """(input, layer, layer gradient, depth) of each active branch, in
-    parameter order.  The conv functions are looked up on every call, so a
-    rebound ``kernels`` attribute (a tracer's wrapper) is the one used."""
+    """(input, layer, layer gradient, depth, whether the layer takes a
+    stack) of each active branch, in parameter order.  The conv functions
+    are looked up on every call, so a rebound ``kernels`` attribute (a
+    tracer's wrapper) is the one used; they take one model's arrays."""
     branches = []
     if spec.has_mlp:
-        branches.append((exog, _dense, _dense_grad, len(spec.mlp_widths)))
+        branches.append((exog, _dense, _dense_grad, len(spec.mlp_widths), True))
     if spec.has_cnn:
-        branches.append((window[:, :, None], kernels.conv1d_same,
-                         kernels.conv1d_same_grad, len(spec.conv_filters)))
+        branches.append((window[..., None], kernels.conv1d_same,
+                         kernels.conv1d_same_grad, len(spec.conv_filters), False))
     return branches
 
 
+def _branch(x, weights, layer, keep):
+    """x through ReLU(layer(x, W, b)) for each (W, b) in turn.  Returns the
+    output and, with ``keep``, each layer's (input, weight)."""
+    record = []
+    for W, b in weights:
+        if keep:
+            record.append((x, W))
+        x = np.maximum(layer(x, W, b), 0.0)
+    return x, record
+
+
+def _branch_grad(layer_grad, record, out, g):
+    """Back through ``_branch`` given dLoss/d(its output): each layer's
+    (gb, gW), last layer first.  A layer's ReLU mask is its output > 0."""
+    grads = []
+    for x, W in record[::-1]:
+        g, gW, gb = layer_grad(x, W, g * (out > 0))
+        grads += [gb, gW]
+        out = x
+    return grads
+
+
 def _forward_cache(spec, params, exog, window, keep=True):
-    """Forward pass.  With ``keep`` it also returns, per branch, the layer
-    gradient, every layer's (input, weight, pre-activation) and the output
-    shape that ``backward`` needs; without, the cache is None and no layer's
-    arrays outlive the next layer (loss-only passes)."""
+    """Forward pass of one model, or of a stack (a leading model axis on
+    every array).  With ``keep`` it also returns what ``backward`` needs:
+    per branch, the layer gradient, the layers' (input, weight) records and
+    the branch output; without, the cache is None and no layer's arrays
+    outlive the next layer (loss-only passes).
+
+    A stack's conv branch runs one model at a time through all its layers,
+    so that model's activations stay in cache from layer to layer."""
     layers = iter(zip(params[0::2], params[1::2]))
+    stack = exog.ndim == 3
     parts, cache = [], []
-    for x, layer, layer_grad, depth in _branches(spec, exog, window):
-        record = []
-        for _ in range(depth):
-            W, b = next(layers)
-            z = layer(x, W, b)
-            if keep:
-                record.append((x, W, z))
-            x = np.maximum(z, 0.0)
-        parts.append(x.reshape(len(x), math.prod(x.shape[1:])))
-        cache.append((layer_grad, record, x.shape))
-    feats = np.concatenate(parts, axis=1)
+    for x, layer, layer_grad, depth, takes_stack in _branches(spec, exog, window):
+        weights = [next(layers) for _ in range(depth)]
+        one_by_one = stack and not takes_stack
+        if one_by_one:
+            runs = [_branch(x[k], [(W[k], b[k]) for W, b in weights], layer, keep)
+                    for k in range(len(x))]
+            out, record = np.array([o for o, _ in runs]), [r for _, r in runs]
+        else:
+            out, record = _branch(x, weights, layer, keep)
+        # a conv branch's (w, c) output rows become feature columns
+        parts.append(out if layer is _dense else out.reshape(out.shape[:-2] + (-1,)))
+        cache.append((layer_grad, record, out, one_by_one))
+    feats = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     out = _dense(feats, *next(layers))
     return out, ((feats, cache) if keep else None)
 
@@ -215,18 +249,22 @@ def forward(spec, params, exog, window):
 
 
 def backward(spec, params, cache, gout):
-    """Gradients w.r.t. every weight array given dLoss/dOutput: the forward
-    loop in reverse, collected back to front."""
+    """Gradients w.r.t. every weight array given dLoss/dOutput, collected
+    back to front.  A stack's cache gives gradients with the leading model
+    axis."""
     feats, branches = cache
     gfeats, gW, gb = _dense_grad(feats, params[-2], gout)
     grads = [gb, gW]
-    for layer_grad, record, shape in branches[::-1]:
+    for layer_grad, record, out, one_by_one in branches[::-1]:
         # the last branch's features are the last columns
-        width = math.prod(shape[1:])
-        g, gfeats = gfeats[:, -width:].reshape(shape), gfeats[:, :-width]
-        for x, W, z in record[::-1]:
-            g, gW, gb = layer_grad(x, W, g * (z > 0))
-            grads += [gb, gW]
+        width = math.prod(out.shape[gfeats.ndim - 1:])
+        g, gfeats = gfeats[..., -width:].reshape(out.shape), gfeats[..., :-width]
+        if one_by_one:
+            per_model = [_branch_grad(layer_grad, r, o, gk)
+                         for r, o, gk in zip(record, out, g)]
+            grads += [np.array(gs) for gs in zip(*per_model)]
+        else:
+            grads += _branch_grad(layer_grad, record, out, g)
     return grads[::-1]
 
 
@@ -239,6 +277,9 @@ def coherence_loss(Y, Y_hat, alpha):
 
     (1/B) [ (1-alpha) sum_t ||Y_t - Yhat_t||^2
             + alpha   sum_t (1'Y_t - 1'Yhat_t)^2 ]
+
+    (B, out) arrays give a float; a (K, B, out) stack gives each model's
+    loss, computed with the same reductions.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
@@ -246,21 +287,29 @@ def coherence_loss(Y, Y_hat, alpha):
     Y_hat = np.atleast_2d(np.asarray(Y_hat, dtype=float))
     if Y.shape != Y_hat.shape:
         raise ConfigError(f"shape mismatch {Y.shape} vs {Y_hat.shape}")
-    B = Y.shape[0]
-    diff = Y - Y_hat
-    fit = float((diff * diff).sum())
-    gap = diff.sum(axis=1)
-    return ((1.0 - alpha) * fit + alpha * float(gap @ gap)) / B
+    return _loss(Y - Y_hat, alpha)
 
 
 def coherence_loss_grad(Y, Y_hat, alpha):
-    """d coherence_loss / d Y_hat."""
+    """d coherence_loss / d Y_hat, for one model or a stack."""
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Y_hat = np.atleast_2d(np.asarray(Y_hat, dtype=float))
-    B = Y.shape[0]
-    diff = Y - Y_hat
-    gap = diff.sum(axis=1, keepdims=True)
-    return (-2.0 * (1.0 - alpha) * diff - 2.0 * alpha * gap) / B
+    return _loss_grad(Y - Y_hat, alpha)
+
+
+def _loss(diff, alpha):
+    """``coherence_loss`` from diff = Y - Y_hat."""
+    fit = (diff * diff).sum(axis=(-2, -1))
+    gap = diff.sum(axis=-1)
+    gap2 = np.matmul(gap[..., None, :], gap[..., None])[..., 0, 0]
+    loss = ((1.0 - alpha) * fit + alpha * gap2) / diff.shape[-2]
+    return float(loss) if diff.ndim == 2 else loss
+
+
+def _loss_grad(diff, alpha):
+    """``coherence_loss_grad`` from diff = Y - Y_hat."""
+    gap = diff.sum(axis=-1, keepdims=True)
+    return (-2.0 * (1.0 - alpha) * diff - 2.0 * alpha * gap) / diff.shape[-2]
 
 
 # ---------------------------------------------------------------------------
@@ -294,67 +343,115 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 # Training
 # ---------------------------------------------------------------------------
 
-def train(spec: NetworkSpec, dataset, config: TrainConfig) -> TrainedNetwork:
-    """Train on (exog (N,d), windows (N,w), targets (N,out)).
-
-    Splits off the chronological tail as validation, early-stops on it, and
-    restores the weights of the best validation epoch.  Deterministic given
-    the seed.  ``history`` holds (mean minibatch loss, validation loss) per
-    epoch; with no validation split, both are the training split's loss.
-    """
+def _as_dataset(dataset):
+    """(exog, windows, targets) as float arrays, the inputs as (N, -1)."""
     exog, windows, targets = (np.asarray(a, dtype=float) for a in dataset)
     N = targets.shape[0]
-    if exog.ndim != 2:
-        exog = exog.reshape(N, -1)
-    if windows.ndim != 2:
-        windows = windows.reshape(N, -1)
+    return (exog if exog.ndim == 2 else exog.reshape(N, -1),
+            windows if windows.ndim == 2 else windows.reshape(N, -1), targets)
+
+
+def train_many(spec: NetworkSpec, datasets, configs) -> list:
+    """Train one network per (exog (N,d), windows (N,w), targets (N,out))
+    dataset, with ``configs[i]`` for dataset i, as one stack in lock-step.
+
+    The datasets must have equal shapes and the configs may differ only in
+    ``seed``, else ConfigError.  Each network splits off the chronological
+    tail of its rows as validation, early-stops on it, and restores the
+    weights of its best validation epoch.  ``history`` holds (mean minibatch
+    loss, validation loss) per epoch; with no validation split, both are
+    the training split's loss.
+
+    Every network keeps its own scaler, initial weights, minibatch order,
+    history and stop, and is computed with the float operations of training
+    it alone, so no result depends on the rest of the stack.  Returns one
+    entry per dataset: the ``TrainedNetwork``, or the ``NumericError`` that
+    training it alone raises.
+    """
+    if not datasets or len(datasets) != len(configs):
+        raise ConfigError(f"{len(datasets)} datasets for {len(configs)} configs")
+    data = [_as_dataset(d) for d in datasets]
+    shapes_in = {tuple(a.shape for a in d) for d in data}
+    if len(shapes_in) > 1:
+        raise ConfigError(f"stacked datasets differ in shape: {sorted(shapes_in)}")
+    config = configs[0]
+    if any(replace(c, seed=0) != replace(config, seed=0) for c in configs):
+        raise ConfigError("stacked training configs may differ only in seed")
+    K, N = len(data), data[0][2].shape[0]
     n_val = int(N * config.validation_fraction)
     n_train = N - n_val
     if n_train < 1:
-        raise NumericError("empty training set after validation split")
+        return [NumericError("empty training set after validation split")] * K
 
-    scaler = Scaler.fit(exog[:n_train], windows[:n_train])
-    ex_s, win_s = scaler.transform(exog, windows)
-
-    rng = np.random.default_rng(config.seed)
+    scalers = [Scaler.fit(ex[:n_train], win[:n_train]) for ex, win, _ in data]
+    scaled = [s.transform(ex, win) for s, (ex, win, _) in zip(scalers, data)]
+    ex_s = np.stack([ex for ex, _ in scaled])
+    win_s = np.stack([win for _, win in scaled])
+    targets = np.stack([t for _, _, t in data])
+    rngs = [np.random.default_rng(c.seed) for c in configs]
     shapes = _shapes(spec)
-    flat = np.concatenate([p.ravel() for p in init_params(spec, rng)])
+    flat = np.stack([np.concatenate([p.ravel() for p in init_params(spec, rng)])
+                     for rng in rngs])
     params = _views(flat, shapes)
     state = adam_init([flat])
+    live = list(range(K))          # stack row j trains model live[j]
 
     def full_loss(lo, hi):
-        out, _ = _forward_cache(spec, params, ex_s[lo:hi], win_s[lo:hi], keep=False)
-        return coherence_loss(targets[lo:hi], out, config.alpha)
+        out, _ = _forward_cache(spec, params, ex_s[:, lo:hi], win_s[:, lo:hi],
+                                keep=False)
+        return coherence_loss(targets[:, lo:hi], out, config.alpha)
 
-    best_loss = np.inf
-    best_flat = flat.copy()
-    best_epoch = 0
-    history = []
+    best_loss, best_flat, best_epoch = [np.inf] * K, [None] * K, [0] * K
+    history = [[] for _ in range(K)]
+    entries = [None] * K
     for epoch in range(config.max_epochs):
-        order = rng.permutation(n_train)
+        order = np.stack([rngs[k].permutation(n_train) for k in live])
+        rows = np.arange(len(live))[:, None]
         batch_losses = []
         for start in range(0, n_train, config.batch_size):
-            sel = order[start:start + config.batch_size]
-            out, cache = _forward_cache(spec, params, ex_s[sel], win_s[sel])
-            batch_losses.append(coherence_loss(targets[sel], out, config.alpha))
-            gout = coherence_loss_grad(targets[sel], out, config.alpha)
-            grads = np.concatenate([g.ravel() for g in backward(spec, params, cache, gout)])
+            sel = order[:, start:start + config.batch_size]
+            out, cache = _forward_cache(spec, params, ex_s[rows, sel], win_s[rows, sel])
+            diff = targets[rows, sel] - out
+            batch_losses.append(_loss(diff, config.alpha))
+            grads = backward(spec, params, cache, _loss_grad(diff, config.alpha))
+            grads = np.concatenate([g.reshape(len(live), -1) for g in grads], axis=1)
             adam_step([flat], [grads], state, config.learning_rate)
-        val_loss = full_loss(n_train, N) if n_val else full_loss(0, n_train)
-        train_loss = float(np.mean(batch_losses)) if n_val else val_loss
-        if not np.isfinite(train_loss) or not np.isfinite(val_loss):
-            raise NumericError(f"training diverged (non-finite loss) at epoch {epoch}")
-        history.append((train_loss, val_loss))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_flat = flat.copy()
-            best_epoch = epoch
-        elif epoch - best_epoch > config.patience:
-            break
-    return TrainedNetwork(
-        spec=spec, params=_views(best_flat, shapes), scaler=scaler,
-        history=history, best_epoch=best_epoch,
-    )
+        val_losses = full_loss(n_train, N) if n_val else full_loss(0, n_train)
+        batch_rows = np.array(batch_losses).T.copy()     # (models, batches)
+        keep = []
+        for j, k in enumerate(live):
+            val_loss = float(val_losses[j])
+            train_loss = float(np.mean(batch_rows[j])) if n_val else val_loss
+            if not np.isfinite(train_loss) or not np.isfinite(val_loss):
+                entries[k] = NumericError(
+                    f"training diverged (non-finite loss) at epoch {epoch}")
+                continue
+            history[k].append((train_loss, val_loss))
+            if val_loss < best_loss[k]:
+                best_loss[k], best_flat[k], best_epoch[k] = val_loss, flat[j].copy(), epoch
+            elif epoch - best_epoch[k] > config.patience:
+                continue
+            keep.append(j)
+        if len(keep) < len(live):
+            # drop the stopped models' rows from every per-model array
+            flat, ex_s, win_s, targets = (a[keep] for a in (flat, ex_s, win_s, targets))
+            params = _views(flat, shapes)
+            state["m"], state["v"] = [state["m"][0][keep]], [state["v"][0][keep]]
+            live = [live[j] for j in keep]
+            if not live:
+                break
+    return [entries[k] or TrainedNetwork(
+        spec=spec, params=_views(best_flat[k], shapes), scaler=scalers[k],
+        history=history[k], best_epoch=best_epoch[k]) for k in range(K)]
+
+
+def train(spec: NetworkSpec, dataset, config: TrainConfig) -> TrainedNetwork:
+    """Train one network: ``train_many``'s stack of one.  Raises the
+    NumericError of a network that fails to train."""
+    net, = train_many(spec, [dataset], [config])
+    if isinstance(net, NumericError):
+        raise net
+    return net
 
 
 def predict(net: TrainedNetwork, exog, window):

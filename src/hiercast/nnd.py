@@ -80,38 +80,50 @@ def feature_matrix(panel: SeriesPanel, child_ids):
         + [calendar_matrix(panel.timestamps, panel.calendar)[1]])
 
 
+def _dataset(panel, parent_id, child_ids, features, cfg: NndConfig, end):
+    """(exog, windows, targets) of one parent's network on rows [0, end)."""
+    windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
+    targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
+    return features[t_idx], windows, targets
+
+
+def _spec(cfg: NndConfig, out_dim, exog_dim):
+    arch = cfg.arch
+    return neuralnet.NetworkSpec(
+        out_dim=out_dim, exog_dim=exog_dim, window=cfg.window.w,
+        mlp_widths=(arch.hidden,) * arch.n_dense,
+        conv_filters=(arch.filters,) * arch.n_conv,
+        kernel_size=arch.kernel_size,
+    )
+
+
+def _train_config(cfg: NndConfig, parent_id):
+    return replace(cfg.train, seed=derive_seed(cfg.seed, f"nnd:{parent_id}"))
+
+
 def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
-              end=None) -> neuralnet.TrainedNetwork:
+              end=None, features=None) -> neuralnet.TrainedNetwork:
     """Step 1: fit the disaggregation network on observed history.
 
     Uses panel rows [0, end) (default: the whole panel).  The window input
     is the parent series, the target is the child vector at the window's
     last step, and the exogenous branch sees the child features at that
-    step.  Every window ends below ``end`` and the features are built row
-    by row, so rows from ``end`` on do not reach the model.
+    step: rows of ``features``, which is ``feature_matrix(panel,
+    child_ids)`` (built here when None).  Every window ends below ``end``
+    and the features are built row by row, so rows from ``end`` on do not
+    reach the model.
     """
-    windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
-    feats = feature_matrix(panel, child_ids)[t_idx]
-    targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
-
-    seed = derive_seed(cfg.seed, f"nnd:{parent_id}")
-    tcfg = replace(cfg.train, seed=seed)
-    arch = cfg.arch
-    m = len(child_ids)
-    d = feats.shape[1]
-    if arch.grid:
+    if features is None:
+        features = feature_matrix(panel, child_ids)
+    data = _dataset(panel, parent_id, child_ids, features, cfg, end)
+    tcfg = _train_config(cfg, parent_id)
+    if cfg.arch.grid:
         specs = neuralnet.spec_grid(
-            out_dim=m, exog_dim=d, window=cfg.window.w,
-            n_conv=arch.n_conv, n_dense=arch.n_dense,
+            out_dim=len(child_ids), exog_dim=features.shape[1], window=cfg.window.w,
+            n_conv=cfg.arch.n_conv, n_dense=cfg.arch.n_dense,
         )
-        return neuralnet.grid_search(specs, (feats, windows, targets), tcfg)[1]
-    spec = neuralnet.NetworkSpec(
-        out_dim=m, exog_dim=d, window=cfg.window.w,
-        mlp_widths=(arch.hidden,) * arch.n_dense,
-        conv_filters=(arch.filters,) * arch.n_conv,
-        kernel_size=arch.kernel_size,
-    )
-    return neuralnet.train(spec, (feats, windows, targets), tcfg)
+        return neuralnet.grid_search(specs, data, tcfg)[1]
+    return neuralnet.train(_spec(cfg, len(child_ids), features.shape[1]), data, tcfg)
 
 
 def disaggregate(net: neuralnet.TrainedNetwork, parent_forecast, features,
@@ -158,14 +170,36 @@ def _root_forecast(panel, node_id, n_train, h, m_season):
     return fitted.forecast(h)
 
 
-def _train_pair(panel, cfg, end, pair):
-    """Train one (parent, children) pair's network on rows [0, end); a
-    failure names the parent.  Module level, so a worker process can run it."""
-    parent_id, child_ids = pair
-    try:
-        return train_nnd(panel, parent_id, child_ids, cfg, end=end)
-    except Exception as exc:
-        raise type(exc)(f"[node {parent_id}] {exc}") from exc
+def _named(exc, parent_id):
+    return type(exc)(f"[node {parent_id}] {exc}")
+
+
+def _train_stack(panel, cfg, end, stack):
+    """Train the networks of (parent, children, features) triples that share
+    one spec as one ``neuralnet.train_many`` stack, on rows [0, end); a grid
+    search trains its one triple alone.  Entry i is triple i's network, or
+    its error naming the parent.  Module level, so a worker process can run
+    it."""
+    entries, data = {}, {}
+    for parent_id, child_ids, features in stack:
+        try:
+            if cfg.arch.grid:
+                entries[parent_id] = train_nnd(panel, parent_id, child_ids, cfg,
+                                               end, features)
+            else:
+                data[parent_id] = _dataset(panel, parent_id, child_ids, features,
+                                           cfg, end)
+        except Exception as exc:
+            entries[parent_id] = _named(exc, parent_id)
+    if data:
+        _, child_ids, features = stack[0]
+        nets = neuralnet.train_many(
+            _spec(cfg, len(child_ids), features.shape[1]), list(data.values()),
+            [_train_config(cfg, parent_id) for parent_id in data])
+        for parent_id, net in zip(data, nets):
+            entries[parent_id] = (_named(net, parent_id)
+                                  if isinstance(net, Exception) else net)
+    return [entries[parent_id] for parent_id, _, _ in stack]
 
 
 @dataclass
@@ -184,9 +218,10 @@ def _pairs_below(hier, level):
 
 
 def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
-    """Train one network per (parent, children) pair, in up to ``cfg.jobs``
-    worker processes (the networks do not depend on how many), then
-    disaggregate from ``start_forecasts`` (node -> forecast, or None to
+    """Train one network per (parent, children) pair, the pairs whose
+    networks share a spec as one stack, in up to ``cfg.jobs`` worker
+    processes (the networks do not depend on how many, nor on the stacks),
+    then disaggregate from ``start_forecasts`` (node -> forecast, or None to
     select one) down the pairs in order.  The published set is
     re-aggregated from the bottom."""
     hier = panel.hierarchy
@@ -199,10 +234,17 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         if fc is None:
             fc = _root_forecast(panel, node_id, n_train, h, m_season)
         forecasts[node_id] = np.asarray(fc, dtype=float)
-    train = partial(_train_pair, panel, cfg, n_train)
-    workers = min(cfg.jobs, len(pairs))
+    features = {node_id: feature_matrix(panel, child_ids)
+                for node_id, child_ids in pairs}
+    stacks = {}
+    for node_id, child_ids in pairs:
+        key = (node_id if cfg.arch.grid
+               else _spec(cfg, len(child_ids), features[node_id].shape[1]))
+        stacks.setdefault(key, []).append((node_id, child_ids, features[node_id]))
+    train = partial(_train_stack, panel, cfg, n_train)
+    workers = min(cfg.jobs, len(stacks))
     if workers <= 1:
-        nets = list(map(train, pairs))
+        trained = list(map(train, stacks.values()))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -210,18 +252,23 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         # child would inherit the locks they hold
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            nets = list(pool.map(train, pairs))
-    models = {parent_id: net for (parent_id, _), net in zip(pairs, nets)}
+            trained = list(pool.map(train, stacks.values()))
+    nets = {node_id: net for stack, entries in zip(stacks.values(), trained)
+            for (node_id, _, _), net in zip(stack, entries)}
+    models = {node_id: nets[node_id] for node_id, _ in pairs}
+    for net in models.values():
+        if isinstance(net, Exception):
+            raise net
     violations = {}
     for node_id, child_ids in pairs:
         try:
             child_fc = disaggregate(
                 models[node_id], forecasts[node_id],
-                feature_matrix(panel, child_ids)[n_train:n_train + h],
+                features[node_id][n_train:n_train + h],
                 panel.series(node_id)[:n_train],
             )
         except Exception as exc:
-            raise type(exc)(f"[node {node_id}] {exc}") from exc
+            raise _named(exc, node_id) from exc
         violations[node_id] = raw_violation(child_fc, forecasts[node_id])
         for j, child in enumerate(child_ids):
             forecasts[child] = child_fc[:, j]

@@ -130,6 +130,27 @@ class TestForecast:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--horizon", "0"], "horizon must be >= 1, got 0"),
+        (["--horizon", "-3"], "horizon must be >= 1, got -3"),
+        (["--cv-start", "1"], "cv_start (starting_window) must be >= 2, got 1"),
+        (["--cv-start", "90", "--cv-end", "80"],
+         "cv_end (ending_window) must be >= cv_start 90, got 80"),
+        (["--cv-step", "0"], "cv_step (step) must be >= 1, got 0"),
+    ], ids=["horizon", "negative-horizon", "cv-start", "cv-end", "cv-step"])
+    def test_bad_cv_setting_is_named(self, dataset, tmp_path, capsys, extra,
+                                     message):
+        out = tmp_path / "base.csv"
+        code = main([
+            "forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--out", str(out), *extra,
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ConfigError", message)
+        assert not out.exists()
+
     def test_all_zero_leaf_falls_back_to_seasonal_naive(self, tmp_path):
         hier = Hierarchy.from_nodes(
             [("total", None, 0), ("a", "total", 1), ("b", "total", 1)])

@@ -1,3 +1,6 @@
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from hiercast import (Arx, CombCls, CombMean, ConfigError, CVConfig, Ets,
                       combine_mean, default_candidates, expanding_window_cv,
                       project_simplex, select_model)
 from hiercast import kernels
-from hiercast.forecasters import _lags
+from hiercast.evaluate import fit_each
+from hiercast.forecasters import _lags, select_models
 from hiercast.errors import DataError, NumericError
 
 
@@ -302,3 +306,102 @@ class TestSelectModel:
         cv = CVConfig(starting_window=10, ending_window=12, horizon=7)
         with pytest.raises(NumericError, match="all model candidates failed"):
             select_model(y, None, [Ets("hw", 7)], cv, m_season=7)
+
+
+def _recorded(fn, *args, **kwargs):
+    """fn's result and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, Counter(str(w.message) for w in caught)
+
+
+class TestSelectModels:
+    """Selecting over several series at once, NARX networks stacked, gives
+    each series what selecting for it alone gives."""
+
+    T, H = 84, 7
+    CV = CVConfig(starting_window=49, ending_window=63, horizon=7, step=7)
+
+    def _panel(self, rng):
+        t = np.arange(self.T)
+        Y = np.column_stack([
+            10 + np.sin(2 * np.pi * t / 7) + 0.3 * rng.standard_normal(self.T),
+            50 + np.cumsum(rng.standard_normal(self.T)),
+            np.tile([0.0] * 6 + [1.0], self.T // 7),   # MASE's scale is zero
+            5 + 0.05 * t + rng.standard_normal(self.T),
+        ])
+        # two exog widths, so the NARX networks form two stacks
+        Xs = [None, rng.standard_normal((self.T, 2)), None,
+              rng.standard_normal((self.T, 2))]
+        return Y, Xs
+
+    @staticmethod
+    def _candidates(i):
+        return default_candidates(7, narx_seed=100 + i, include_narx=True,
+                                  include_combinations=False)
+
+    def test_many_series_equal_one_at_a_time(self, rng):
+        Y, Xs = self._panel(rng)
+        n = self.T - self.H
+        heads = [X[:n] if X is not None else None for X in Xs]
+        many, many_warned = _recorded(
+            select_models, Y[:n], heads,
+            [self._candidates(i) for i in range(Y.shape[1])], self.CV, m_season=7)
+        one_warned = Counter()
+        for i, (X, head) in enumerate(zip(Xs, heads)):
+            (fitted, kind, score), warned = _recorded(
+                select_model, Y[:n, i], head, self._candidates(i), self.CV,
+                m_season=7)
+            one_warned += warned
+            m_fitted, m_kind, m_score = many[i]
+            assert (m_kind, m_score) == (kind, score)
+            future = X[n:] if X is not None else None
+            assert np.array_equal(m_fitted.forecast(self.H, future),
+                                  fitted.forecast(self.H, future))
+        assert many[2][1:] == ("snaive", None)
+        assert any("MASE denominator is zero" in w for w in one_warned)
+        assert many_warned == one_warned
+
+    def test_stacked_narx_cv_scores_equal_one_at_a_time(self, rng):
+        Y, Xs = self._panel(rng)
+        seeds = (3, 4, 5, 6)
+        many, many_warned = _recorded(
+            expanding_window_cv, Y, Xs, lambda: [Narx(p=7, seed=s) for s in seeds],
+            self.CV, m_season=7)
+        one_warned = Counter()
+        for i, seed in enumerate(seeds):
+            def score_alone():
+                try:
+                    return expanding_window_cv(Y[:, i], Xs[i], lambda: Narx(p=7, seed=seed),
+                                               self.CV, m_season=7)
+                except NumericError as exc:
+                    return exc
+            one, warned = _recorded(score_alone)
+            one_warned += warned
+            if i == 2:      # every fold fails: MASE's scale is zero
+                assert str(many[i]) == str(one) == "every CV fold failed"
+            else:
+                assert many[i] == one
+        assert many_warned == one_warned and sum(one_warned.values()) == 3
+
+    @pytest.mark.parametrize("comb", [CombMean, CombCls])
+    def test_combinations_fit_across_series_as_one_at_a_time(self, rng, comb):
+        Y, Xs = self._panel(rng)
+        ys = [Y[:, i] for i in range(Y.shape[1])] + [Y[:5, 0]]   # too short
+        Xs = Xs + [None]
+
+        def make(i):
+            return comb([Naive(), Narx(p=7, seed=i), Ets("hw", 7)])
+
+        many = fit_each([make(i) for i in range(len(ys))], ys, Xs)
+        for i, (y, X) in enumerate(zip(ys, Xs)):
+            try:
+                alone = make(i).fit(y, X)
+            except (DataError, NumericError) as exc:
+                assert type(many[i]) is type(exc) and str(many[i]) == str(exc)
+                continue
+            future = X[:self.H] if X is not None else None
+            assert np.array_equal(many[i].forecast(self.H, future),
+                                  alone.forecast(self.H, future))
+        assert isinstance(many[-1], DataError)

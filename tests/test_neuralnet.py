@@ -475,3 +475,84 @@ class TestFlatBuffer:
         flat = params[0].base
         assert flat.flags.writeable and flat.size == 13
         assert all(np.shares_memory(p, flat) for p in params)
+
+
+# the shapes of the two callers: NARX (MLP only, scalar output) and NND
+# (MLP and CNN branches, one output per child)
+STACK_SPECS = {
+    "narx": NetworkSpec(out_dim=1, exog_dim=4, window=0, mlp_widths=(16, 16),
+                        conv_filters=()),
+    "nnd": NetworkSpec(out_dim=3, exog_dim=3, window=8, mlp_widths=(6, 6),
+                       conv_filters=(3, 3), kernel_size=4),
+}
+
+
+def _stack_datasets(rng, spec, k, n=60):
+    """k datasets of one shape; dataset i has its own scale, so the models
+    stop at different epochs."""
+    return [(rng.standard_normal((n, spec.exog_dim)),
+             rng.standard_normal((n, spec.window)),
+             rng.standard_normal((n, spec.out_dim)) * (1.0 + i))
+            for i in range(k)]
+
+
+def _assert_same_network(a, b):
+    assert a.best_epoch == b.best_epoch
+    assert [t for t, _ in a.history] == [t for t, _ in b.history]
+    assert [v for _, v in a.history] == [v for _, v in b.history]
+    assert len(a.params) == len(b.params)
+    for p, q in zip(a.params, b.params):
+        assert np.array_equal(p, q)
+
+
+class TestTrainMany:
+    CFG = dict(learning_rate=0.01, batch_size=16, max_epochs=40, patience=2)
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_equals_separate_training_bit_for_bit(self, rng, name):
+        spec = STACK_SPECS[name]
+        data = _stack_datasets(rng, spec, 4)
+        cfgs = [TrainConfig(seed=10 + i, **self.CFG) for i in range(4)]
+        stacked = neuralnet.train_many(spec, data, cfgs)
+        assert len({len(net.history) for net in stacked}) > 1, \
+            "the models should stop at different epochs"
+        for net, d, cfg in zip(stacked, data, cfgs):
+            _assert_same_network(net, train(spec, d, cfg))
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_diverging_model_leaves_the_others_unchanged(self, rng, name):
+        spec = STACK_SPECS[name]
+        data = _stack_datasets(rng, spec, 3)
+        exog, windows, targets = data[1]
+        data[1] = (exog, windows, targets * 1e160)    # the loss overflows
+        cfgs = [TrainConfig(seed=i, **self.CFG) for i in range(3)]
+        stacked = neuralnet.train_many(spec, data, cfgs)
+        with pytest.raises(NumericError) as alone:
+            train(spec, data[1], cfgs[1])
+        assert isinstance(stacked[1], NumericError)
+        assert str(stacked[1]) == str(alone.value)
+        for i in (0, 2):
+            _assert_same_network(stacked[i], train(spec, data[i], cfgs[i]))
+
+    def test_empty_training_split_is_every_entry(self, rng):
+        spec = STACK_SPECS["narx"]
+        data = _stack_datasets(rng, spec, 2, n=0)
+        cfgs = [TrainConfig(seed=i) for i in range(2)]
+        entries = neuralnet.train_many(spec, data, cfgs)
+        assert [str(e) for e in entries] == [
+            "empty training set after validation split"] * 2
+
+    def test_mismatched_rows_are_config_error(self, rng):
+        spec = STACK_SPECS["narx"]
+        data = [_stack_datasets(rng, spec, 1, n=n)[0] for n in (40, 41)]
+        with pytest.raises(ConfigError, match="differ in shape"):
+            neuralnet.train_many(spec, data, [TrainConfig(seed=i) for i in range(2)])
+
+    def test_configs_differing_beyond_seed_are_config_error(self, rng):
+        spec = STACK_SPECS["narx"]
+        data = _stack_datasets(rng, spec, 2)
+        cfgs = [TrainConfig(seed=0), TrainConfig(seed=1, patience=3)]
+        with pytest.raises(ConfigError, match="only in seed"):
+            neuralnet.train_many(spec, data, cfgs)
+        with pytest.raises(ConfigError, match="2 datasets for 1 configs"):
+            neuralnet.train_many(spec, data, cfgs[:1])
