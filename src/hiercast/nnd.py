@@ -220,7 +220,7 @@ def _pairs_below(hier, level):
 def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
     """Train one network per (parent, children) pair, the pairs whose
     networks share a spec as one stack, in up to ``cfg.jobs`` worker
-    processes (the networks do not depend on how many, nor on the stacks),
+    processes (the networks depend neither on how many nor on the stacks),
     then disaggregate from ``start_forecasts`` (node -> forecast, or None to
     select one) down the pairs in order.  The published set is
     re-aggregated from the bottom."""
@@ -241,10 +241,15 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         key = (node_id if cfg.arch.grid
                else _spec(cfg, len(child_ids), features[node_id].shape[1]))
         stacks.setdefault(key, []).append((node_id, child_ids, features[node_id]))
+    # with N workers each stack splits into up to N sub-stacks, so that a
+    # large group does not leave the other workers idle
+    units = [stack[k * len(stack) // n:(k + 1) * len(stack) // n]
+             for stack in stacks.values()
+             for n in [min(cfg.jobs, len(stack))] for k in range(n)]
     train = partial(_train_stack, panel, cfg, n_train)
-    workers = min(cfg.jobs, len(stacks))
+    workers = min(cfg.jobs, len(units))
     if workers <= 1:
-        trained = list(map(train, stacks.values()))
+        trained = list(map(train, units))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -252,9 +257,9 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         # child would inherit the locks they hold
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            trained = list(pool.map(train, stacks.values()))
-    nets = {node_id: net for stack, entries in zip(stacks.values(), trained)
-            for (node_id, _, _), net in zip(stack, entries)}
+            trained = list(pool.map(train, units))
+    nets = {node_id: net for unit, entries in zip(units, trained)
+            for (node_id, _, _), net in zip(unit, entries)}
     models = {node_id: nets[node_id] for node_id, _ in pairs}
     for net in models.values():
         if isinstance(net, Exception):
