@@ -108,29 +108,6 @@ class CVConfig:
         return sizes
 
 
-def fit_each(models, ys, Xs):
-    """Fit ``models[i]`` on ``(ys[i], Xs[i])`` for every i.  Entry i is the
-    fitted model, or the HiercastError its fit raised; a ConfigError is
-    raised.  When the models share a class with a static ``fit_many(models,
-    ys, Xs)``, it fits them all in one call (``Narx`` trains its networks as
-    one stack)."""
-    classes = {type(m) for m in models}
-    fit_many = getattr(classes.pop(), "fit_many", None) if len(classes) == 1 else None
-    if fit_many is not None:
-        fitted = fit_many(models, ys, Xs)
-    else:
-        fitted = []
-        for model, y, X in zip(models, ys, Xs):
-            try:
-                fitted.append(model.fit(y, X))
-            except HiercastError as exc:
-                fitted.append(exc)
-    for entry in fitted:
-        if isinstance(entry, ConfigError):
-            raise entry
-    return fitted
-
-
 def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1):
     """Score a model factory over expanding-window folds.
 
@@ -138,49 +115,29 @@ def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1)
     forecast(h, X_future); ``metric`` names a :func:`scorer`.  Failing folds
     are skipped with a warning; if all folds fail a NumericError is raised.
     Returns (mean_score, fold_scores).
-
-    ``y`` may also hold n series of one length as the columns of a (T, n)
-    matrix.  Then ``X`` is None or a list of n exog matrices (or Nones),
-    ``factory()`` returns n fresh forecasters, one per series, each fold
-    fits them with :func:`fit_each`, and the result is a list holding, per
-    series, what scoring that series alone returns or the NumericError it
-    raises.
     """
     score = scorer(metric)
     y = np.asarray(y, dtype=float)
-    one = y.ndim == 1
-    if one:
-        y, X, make = y[:, None], [X], (lambda: [factory()])
-    else:
-        X, make = [None] * y.shape[1] if X is None else X, factory
     folds = cfg.fold_sizes(len(y))
     if not folds:
         raise ConfigError(
             f"no CV folds fit a series of length {len(y)} "
             f"(start {cfg.starting_window}, horizon {cfg.horizon})"
         )
-    h = cfg.horizon
-    scores = [[] for _ in X]
+    scores = []
     for n in folds:
-        fitted = fit_each(make(), list(y[:n].T),
-                          [x[:n] if x is not None else None for x in X])
-        for i, (model, x) in enumerate(zip(fitted, X)):
-            try:
-                if isinstance(model, HiercastError):
-                    raise model
-                fc = model.forecast(h, x[n:n + h] if x is not None else None)
-                scores[i].append(score(y[n:n + h, i], fc, y[:n, i], m_season))
-            except ConfigError:
-                raise
-            except HiercastError as exc:
-                warnings.warn(f"CV fold with training size {n} failed: {exc}")
-    results = [(float(np.mean(s)), s) if s else NumericError("every CV fold failed")
-               for s in scores]
-    if not one:
-        return results
-    if isinstance(results[0], NumericError):
-        raise results[0]
-    return results[0]
+        try:
+            model = factory()
+            model.fit(y[:n], X[:n] if X is not None else None)
+            fc = model.forecast(cfg.horizon, X[n:n + cfg.horizon] if X is not None else None)
+            scores.append(score(y[n:n + cfg.horizon], fc, y[:n], m_season))
+        except ConfigError:
+            raise
+        except HiercastError as exc:
+            warnings.warn(f"CV fold with training size {n} failed: {exc}")
+    if not scores:
+        raise NumericError("every CV fold failed")
+    return float(np.mean(scores)), scores
 
 
 # ---------------------------------------------------------------------------

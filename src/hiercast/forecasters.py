@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels, neuralnet
 from .errors import ConfigError, DataError, HiercastError, NumericError
-from .evaluate import CVConfig, expanding_window_cv, fit_each
+from .evaluate import CVConfig, expanding_window_cv
 
 _ETS_GRID = np.round(np.arange(0.1, 1.0001, 0.1), 10)
 # every (alpha, beta[, gamma]) combination, alpha-major like nested loops
@@ -272,15 +272,6 @@ class Ets:
         return out
 
 
-def _fit_one(model, y, X):
-    """``fit_many`` of the model's class on one series: the fitted model,
-    or the error raised."""
-    fitted, = type(model).fit_many([model], [y], [X])
-    if isinstance(fitted, HiercastError):
-        raise fitted
-    return fitted
-
-
 class Narx:
     """Neural autoregression: an MLP over (lags, exog) with two hidden
     layers of 16 units and scalar output, trained with the shared network
@@ -296,7 +287,10 @@ class Narx:
         self.seed = seed
 
     def fit(self, y, X=None):
-        return _fit_one(self, y, X)
+        fitted, = Narx.fit_many([self], [y], [X])
+        if isinstance(fitted, HiercastError):
+            raise fitted
+        return fitted
 
     @staticmethod
     def fit_many(models, ys, Xs):
@@ -423,26 +417,6 @@ def cls_weights(member_preds, y, max_iter=5000, tol=1e-10):
     return beta
 
 
-def _fit_members(models, ys, Xs):
-    """Fit copies of every combination's members on its (y, X), with one
-    ``fit_each`` call per member position, so NARX members train as one
-    stack.  Entry i is (the fitted members of models[i], in order, up to
-    the first that failed; that member's error, or None).  A combination
-    whose member failed fits no further members, as a loop over them
-    stops."""
-    fitted, errors = [[] for _ in models], [None] * len(models)
-    for j in range(len(models[0].members) if models else 0):
-        live = [i for i, e in enumerate(errors) if e is None]
-        members = fit_each([copy.deepcopy(models[i].members[j]) for i in live],
-                           [ys[i] for i in live], [Xs[i] for i in live])
-        for i, member in zip(live, members):
-            if isinstance(member, HiercastError):
-                errors[i] = member
-            else:
-                fitted[i].append(member)
-    return list(zip(fitted, errors))
-
-
 class CombMean:
     kind = "comb_mean"
 
@@ -452,15 +426,8 @@ class CombMean:
         self.members = list(members)
 
     def fit(self, y, X=None):
-        return _fit_one(self, y, X)
-
-    @staticmethod
-    def fit_many(models, ys, Xs):
-        out = []
-        for model, (fitted, error) in zip(models, _fit_members(models, ys, Xs)):
-            model.fitted_ = fitted
-            out.append(error or model)
-        return out
+        self.fitted_ = [copy.deepcopy(m).fit(y, X) for m in self.members]
+        return self
 
     def forecast(self, h, X_future=None):
         return combine_mean([m.forecast(h, X_future) for m in self.fitted_])
@@ -478,49 +445,23 @@ class CombCls:
         self.members = list(members)
 
     def fit(self, y, X=None):
-        return _fit_one(self, y, X)
-
-    @staticmethod
-    def fit_many(models, ys, Xs):
-        """Weights from the members fitted on each series' head and scored
-        on its held-out tail, then the members refitted on the whole
-        series; each step runs across the series at once."""
-        out, splits = list(models), {}
-        for i, (model, y, X) in enumerate(zip(models, ys, Xs)):
-            try:
-                y = _check_series(y)
-                hold = min(28, len(y) // 3)
-                if hold < len(model.members):
-                    raise DataError(
-                        f"held-out window ({hold}) shorter than member count "
-                        f"({len(model.members)})"
-                    )
-            except HiercastError as exc:
-                out[i] = exc
-                continue
-            cut = len(y) - hold
-            splits[i] = (y[:cut], X[:cut] if X is not None else None,
-                         y[cut:], X[cut:] if X is not None else None)
-        heads = _fit_members([models[i] for i in splits],
-                             [s[0] for s in splits.values()],
-                             [s[1] for s in splits.values()])
-        for (i, (_, _, y_hold, X_hold)), (fitted, error) in zip(splits.items(), heads):
-            try:
-                # a member's forecast comes before the next member's fit
-                preds = [m.forecast(len(y_hold), X_hold) for m in fitted]
-                if error is not None:
-                    raise error
-            except HiercastError as exc:
-                out[i] = exc
-                continue
-            models[i].weights_ = cls_weights(np.column_stack(preds), y_hold)
-        live = [i for i in splits if out[i] is models[i]]
-        full = _fit_members([models[i] for i in live], [ys[i] for i in live],
-                            [Xs[i] for i in live])
-        for i, (fitted, error) in zip(live, full):
-            models[i].fitted_ = fitted
-            out[i] = error or models[i]
-        return out
+        y = _check_series(y)
+        hold = min(28, len(y) // 3)
+        if hold < len(self.members):
+            raise DataError(
+                f"held-out window ({hold}) shorter than member count "
+                f"({len(self.members)})"
+            )
+        cut = len(y) - hold
+        X_head = X[:cut] if X is not None else None
+        X_hold = X[cut:] if X is not None else None
+        preds = []
+        for m in self.members:
+            fitted = copy.deepcopy(m).fit(y[:cut], X_head)
+            preds.append(fitted.forecast(hold, X_hold))
+        self.weights_ = cls_weights(np.column_stack(preds), y[cut:])
+        self.fitted_ = [copy.deepcopy(m).fit(y, X) for m in self.members]
+        return self
 
     def forecast(self, h, X_future=None):
         preds = np.column_stack([m.forecast(h, X_future) for m in self.fitted_])
@@ -563,16 +504,53 @@ def select_model(y, X, candidates, cv: CVConfig, m_season=1):
     return result
 
 
+class _Fitted:
+    """Stands in for a candidate whose fit on a CV fold was computed
+    beforehand: ``fit`` raises that fit's error, ``forecast`` is the fitted
+    model's."""
+
+    def __init__(self, fitted):
+        self.fitted = fitted
+
+    def fit(self, y, X=None):
+        if isinstance(self.fitted, HiercastError):
+            raise self.fitted
+        return self
+
+    def forecast(self, h, X_future=None):
+        return self.fitted.forecast(h, X_future)
+
+
+def _fit_all(models, ys, Xs):
+    """Fit ``models[i]`` on ``(ys[i], Xs[i])`` for every i.  Entry i is the
+    fitted model or the HiercastError its fit raised; a ConfigError is
+    raised.  NARX models train their networks with ``Narx.fit_many``."""
+    if all(type(m) is Narx for m in models):
+        fitted = Narx.fit_many(models, ys, Xs)
+    else:
+        fitted = []
+        for model, y, X in zip(models, ys, Xs):
+            try:
+                fitted.append(model.fit(y, X))
+            except HiercastError as exc:
+                fitted.append(exc)
+    for entry in fitted:
+        if isinstance(entry, ConfigError):
+            raise entry
+    return fitted
+
+
 def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
     """:func:`select_model` for n series of one length at once.
 
     ``Y`` holds the series as the columns of a (T, n) matrix, ``Xs`` is None
     or a list of n exog matrices (or Nones), and ``candidates[i]`` is series
     i's candidate list; every list has the same kinds in the same order.
-    Each (candidate, fold) is fitted for all series with one ``fit_each``
-    call, and so is each winner's refit, so the NARX networks of a fold
-    train as one stack.  Returns, per series, (fitted_model, kind,
-    mean_score) or the error that selecting for that series alone raises.
+    Each (candidate, fold) is fitted for all series at once, and so is each
+    winner's refit, so the NARX networks of a fold train as one stack; each
+    series is then scored with its own ``expanding_window_cv`` call.
+    Returns, per series, (fitted_model, kind, mean_score) or the error that
+    selecting for that series alone raises.
     """
     Y = np.asarray(Y, dtype=float)
     Xs = [None] * Y.shape[1] if Xs is None else list(Xs)
@@ -580,16 +558,22 @@ def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
         raise ConfigError("no candidates given")
     if len({len(c) for c in candidates}) > 1:
         raise ConfigError("every series needs the same number of candidates")
+    folds = cv.fold_sizes(len(Y))
     scored = [[] for _ in Xs]
     for idx in range(len(candidates[0]) if candidates else 0):
-        protos = [c[idx] for c in candidates]
-        results = expanding_window_cv(
-            Y, Xs, lambda: [copy.deepcopy(p) for p in protos], cv,
-            metric="mase", m_season=m_season,
-        )
-        for i, result in enumerate(results):
-            if not isinstance(result, NumericError):
-                scored[i].append((result[0], idx))
+        fits = [_fit_all([copy.deepcopy(c[idx]) for c in candidates], list(Y[:n].T),
+                         [X[:n] if X is not None else None for X in Xs])
+                for n in folds]
+        for i, X in enumerate(Xs):
+            replay = iter([fold[i] for fold in fits])
+            try:
+                score, _ = expanding_window_cv(
+                    Y[:, i], X, lambda: _Fitted(next(replay)), cv,
+                    metric="mase", m_season=m_season,
+                )
+            except (NumericError, DataError):
+                continue
+            scored[i].append((score, idx))
     selected, winners = [None] * len(Xs), {}
     for i, scores in enumerate(scored):
         if scores:
@@ -597,14 +581,14 @@ def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
             winners.setdefault(idx, []).append((i, score))
             continue
         y = Y[:, i]
-        n, m = max(cv.fold_sizes(len(y))), m_season
+        n, m = max(folds), m_season
         if n > m and np.array_equal(y[m:n], y[:n - m]):
             fallback = SeasonalNaive(m)
             selected[i] = (fallback.fit(y), fallback.kind, None)
         else:
             selected[i] = NumericError("all model candidates failed cross-validation")
     for idx, series in winners.items():
-        fitted = fit_each([copy.deepcopy(candidates[i][idx]) for i, _ in series],
+        fitted = _fit_all([copy.deepcopy(candidates[i][idx]) for i, _ in series],
                           [Y[:, i] for i, _ in series], [Xs[i] for i, _ in series])
         for (i, score), model in zip(series, fitted):
             selected[i] = (model if isinstance(model, HiercastError)

@@ -80,27 +80,6 @@ def feature_matrix(panel: SeriesPanel, child_ids):
         + [calendar_matrix(panel.timestamps, panel.calendar)[1]])
 
 
-def _dataset(panel, parent_id, child_ids, features, cfg: NndConfig, end):
-    """(exog, windows, targets) of one parent's network on rows [0, end)."""
-    windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
-    targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
-    return features[t_idx], windows, targets
-
-
-def _spec(cfg: NndConfig, out_dim, exog_dim):
-    arch = cfg.arch
-    return neuralnet.NetworkSpec(
-        out_dim=out_dim, exog_dim=exog_dim, window=cfg.window.w,
-        mlp_widths=(arch.hidden,) * arch.n_dense,
-        conv_filters=(arch.filters,) * arch.n_conv,
-        kernel_size=arch.kernel_size,
-    )
-
-
-def _train_config(cfg: NndConfig, parent_id):
-    return replace(cfg.train, seed=derive_seed(cfg.seed, f"nnd:{parent_id}"))
-
-
 def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
               end=None, features=None) -> neuralnet.TrainedNetwork:
     """Step 1: fit the disaggregation network on observed history.
@@ -115,15 +94,28 @@ def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,
     """
     if features is None:
         features = feature_matrix(panel, child_ids)
-    data = _dataset(panel, parent_id, child_ids, features, cfg, end)
-    tcfg = _train_config(cfg, parent_id)
-    if cfg.arch.grid:
+    windows, t_idx = make_windows(panel.series(parent_id)[:end], cfg.window)
+    feats = features[t_idx]
+    targets = np.column_stack([panel.series(c)[t_idx] for c in child_ids])
+
+    seed = derive_seed(cfg.seed, f"nnd:{parent_id}")
+    tcfg = replace(cfg.train, seed=seed)
+    arch = cfg.arch
+    m = len(child_ids)
+    d = feats.shape[1]
+    if arch.grid:
         specs = neuralnet.spec_grid(
-            out_dim=len(child_ids), exog_dim=features.shape[1], window=cfg.window.w,
-            n_conv=cfg.arch.n_conv, n_dense=cfg.arch.n_dense,
+            out_dim=m, exog_dim=d, window=cfg.window.w,
+            n_conv=arch.n_conv, n_dense=arch.n_dense,
         )
-        return neuralnet.grid_search(specs, data, tcfg)[1]
-    return neuralnet.train(_spec(cfg, len(child_ids), features.shape[1]), data, tcfg)
+        return neuralnet.grid_search(specs, (feats, windows, targets), tcfg)[1]
+    spec = neuralnet.NetworkSpec(
+        out_dim=m, exog_dim=d, window=cfg.window.w,
+        mlp_widths=(arch.hidden,) * arch.n_dense,
+        conv_filters=(arch.filters,) * arch.n_conv,
+        kernel_size=arch.kernel_size,
+    )
+    return neuralnet.train(spec, (feats, windows, targets), tcfg)
 
 
 def disaggregate(net: neuralnet.TrainedNetwork, parent_forecast, features,
@@ -170,36 +162,15 @@ def _root_forecast(panel, node_id, n_train, h, m_season):
     return fitted.forecast(h)
 
 
-def _named(exc, parent_id):
-    return type(exc)(f"[node {parent_id}] {exc}")
-
-
-def _train_stack(panel, cfg, end, stack):
-    """Train the networks of (parent, children, features) triples that share
-    one spec as one ``neuralnet.train_many`` stack, on rows [0, end); a grid
-    search trains its one triple alone.  Entry i is triple i's network, or
-    its error naming the parent.  Module level, so a worker process can run
-    it."""
-    entries, data = {}, {}
-    for parent_id, child_ids, features in stack:
-        try:
-            if cfg.arch.grid:
-                entries[parent_id] = train_nnd(panel, parent_id, child_ids, cfg,
-                                               end, features)
-            else:
-                data[parent_id] = _dataset(panel, parent_id, child_ids, features,
-                                           cfg, end)
-        except Exception as exc:
-            entries[parent_id] = _named(exc, parent_id)
-    if data:
-        _, child_ids, features = stack[0]
-        nets = neuralnet.train_many(
-            _spec(cfg, len(child_ids), features.shape[1]), list(data.values()),
-            [_train_config(cfg, parent_id) for parent_id in data])
-        for parent_id, net in zip(data, nets):
-            entries[parent_id] = (_named(net, parent_id)
-                                  if isinstance(net, Exception) else net)
-    return [entries[parent_id] for parent_id, _, _ in stack]
+def _train_pair(panel, cfg, end, pair):
+    """Train one (parent, children, features) pair's network on rows [0,
+    end); a failure names the parent.  Module level, so a worker process
+    can run it."""
+    parent_id, child_ids, features = pair
+    try:
+        return train_nnd(panel, parent_id, child_ids, cfg, end, features)
+    except Exception as exc:
+        raise type(exc)(f"[node {parent_id}] {exc}") from exc
 
 
 @dataclass
@@ -218,10 +189,9 @@ def _pairs_below(hier, level):
 
 
 def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
-    """Train one network per (parent, children) pair, the pairs whose
-    networks share a spec as one stack, in up to ``cfg.jobs`` worker
-    processes (the networks depend neither on how many nor on the stacks),
-    then disaggregate from ``start_forecasts`` (node -> forecast, or None to
+    """Train one network per (parent, children) pair, in up to ``cfg.jobs``
+    worker processes (the networks do not depend on how many), then
+    disaggregate from ``start_forecasts`` (node -> forecast, or None to
     select one) down the pairs in order.  The published set is
     re-aggregated from the bottom."""
     hier = panel.hierarchy
@@ -234,22 +204,14 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         if fc is None:
             fc = _root_forecast(panel, node_id, n_train, h, m_season)
         forecasts[node_id] = np.asarray(fc, dtype=float)
+    # built once per parent, for training and for disaggregation
     features = {node_id: feature_matrix(panel, child_ids)
                 for node_id, child_ids in pairs}
-    stacks = {}
-    for node_id, child_ids in pairs:
-        key = (node_id if cfg.arch.grid
-               else _spec(cfg, len(child_ids), features[node_id].shape[1]))
-        stacks.setdefault(key, []).append((node_id, child_ids, features[node_id]))
-    # with N workers each stack splits into up to N sub-stacks, so that a
-    # large group does not leave the other workers idle
-    units = [stack[k * len(stack) // n:(k + 1) * len(stack) // n]
-             for stack in stacks.values()
-             for n in [min(cfg.jobs, len(stack))] for k in range(n)]
-    train = partial(_train_stack, panel, cfg, n_train)
-    workers = min(cfg.jobs, len(units))
+    work = [(node_id, child_ids, features[node_id]) for node_id, child_ids in pairs]
+    train = partial(_train_pair, panel, cfg, n_train)
+    workers = min(cfg.jobs, len(pairs))
     if workers <= 1:
-        trained = list(map(train, units))
+        nets = list(map(train, work))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -257,13 +219,8 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
         # child would inherit the locks they hold
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            trained = list(pool.map(train, units))
-    nets = {node_id: net for unit, entries in zip(units, trained)
-            for (node_id, _, _), net in zip(unit, entries)}
-    models = {node_id: nets[node_id] for node_id, _ in pairs}
-    for net in models.values():
-        if isinstance(net, Exception):
-            raise net
+            nets = list(pool.map(train, work))
+    models = {parent_id: net for (parent_id, _), net in zip(pairs, nets)}
     violations = {}
     for node_id, child_ids in pairs:
         try:
@@ -273,7 +230,7 @@ def _cascade(panel, n_train, h, cfg, start_forecasts, pairs, m_season):
                 panel.series(node_id)[:n_train],
             )
         except Exception as exc:
-            raise _named(exc, node_id) from exc
+            raise type(exc)(f"[node {node_id}] {exc}") from exc
         violations[node_id] = raw_violation(child_fc, forecasts[node_id])
         for j, child in enumerate(child_ids):
             forecasts[child] = child_fc[:, j]

@@ -9,7 +9,7 @@ from hiercast import (Arx, CombCls, CombMean, ConfigError, CVConfig, Ets,
                       combine_mean, default_candidates, expanding_window_cv,
                       project_simplex, select_model)
 from hiercast import kernels
-from hiercast.evaluate import fit_each
+from hiercast import forecasters
 from hiercast.forecasters import _lags, select_models
 from hiercast.errors import DataError, NumericError
 
@@ -363,43 +363,32 @@ class TestSelectModels:
         assert any("MASE denominator is zero" in w for w in one_warned)
         assert many_warned == one_warned
 
-    def test_stacked_narx_cv_scores_equal_one_at_a_time(self, rng):
+    def test_each_series_is_scored_by_its_own_cv_call(self, rng, monkeypatch):
+        # expanding_window_cv sees one series and the CV configuration per
+        # call, as when selecting for each series alone
         Y, Xs = self._panel(rng)
-        seeds = (3, 4, 5, 6)
-        many, many_warned = _recorded(
-            expanding_window_cv, Y, Xs, lambda: [Narx(p=7, seed=s) for s in seeds],
-            self.CV, m_season=7)
-        one_warned = Counter()
-        for i, seed in enumerate(seeds):
-            def score_alone():
-                try:
-                    return expanding_window_cv(Y[:, i], Xs[i], lambda: Narx(p=7, seed=seed),
-                                               self.CV, m_season=7)
-                except NumericError as exc:
-                    return exc
-            one, warned = _recorded(score_alone)
-            one_warned += warned
-            if i == 2:      # every fold fails: MASE's scale is zero
-                assert str(many[i]) == str(one) == "every CV fold failed"
-            else:
-                assert many[i] == one
-        assert many_warned == one_warned and sum(one_warned.values()) == 3
+        calls = []
 
-    @pytest.mark.parametrize("comb", [CombMean, CombCls])
-    def test_combinations_fit_across_series_as_one_at_a_time(self, rng, comb):
+        def recording(y, X, factory, cfg, **kwargs):
+            calls.append((np.shape(y), cfg))
+            return cv(y, X, factory, cfg, **kwargs)
+
+        cv = forecasters.expanding_window_cv
+        monkeypatch.setattr(forecasters, "expanding_window_cv", recording)
+        cands = [self._candidates(i) for i in range(Y.shape[1])]
+        select_models(Y, Xs, cands, self.CV, m_season=7)
+        assert calls == [((self.T,), self.CV)] * (Y.shape[1] * len(cands[0]))
+
+    def test_narx_fit_many_equals_fitting_alone(self, rng):
         Y, Xs = self._panel(rng)
-        ys = [Y[:, i] for i in range(Y.shape[1])] + [Y[:5, 0]]   # too short
+        ys = [Y[:, i] for i in range(Y.shape[1])] + [Y[:8, 0]]   # too short
         Xs = Xs + [None]
-
-        def make(i):
-            return comb([Naive(), Narx(p=7, seed=i), Ets("hw", 7)])
-
-        many = fit_each([make(i) for i in range(len(ys))], ys, Xs)
+        many = Narx.fit_many([Narx(p=7, seed=i) for i in range(len(ys))], ys, Xs)
         for i, (y, X) in enumerate(zip(ys, Xs)):
             try:
-                alone = make(i).fit(y, X)
-            except (DataError, NumericError) as exc:
-                assert type(many[i]) is type(exc) and str(many[i]) == str(exc)
+                alone = Narx(p=7, seed=i).fit(y, X)
+            except DataError as exc:
+                assert type(many[i]) is DataError and str(many[i]) == str(exc)
                 continue
             future = X[:self.H] if X is not None else None
             assert np.array_equal(many[i].forecast(self.H, future),
