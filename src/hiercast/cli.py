@@ -10,6 +10,7 @@ machine-readable JSON object on stderr.
 
 import argparse
 import configparser
+import csv
 import json
 import os
 import sys
@@ -109,10 +110,15 @@ REQUIRED = object()   # the default of a setting that has none
 def settings(args, rows):
     """Each ``(key, cast, default)`` row's value: the flag, else the config
     file, else the default.  Flag and file strings go through the same cast;
-    one that does not cast, or a REQUIRED one missing or empty, is a
-    ConfigError."""
+    one that does not cast, a REQUIRED one missing or empty, or a file key
+    that no subcommand's row declares is a ConfigError."""
     flags = vars(args)
     file = load_config_file(args.config) if args.config else {}
+    declared = {key for _, _, cmd_rows in COMMANDS.values() for key, _, _ in cmd_rows}
+    unknown = sorted(set(file) - declared)
+    if unknown:
+        raise ConfigError(f"config file {args.config}: no subcommand reads "
+                          f"the key(s) {', '.join(map(repr, unknown))}")
     cfg = {}
     for key, cast, default in rows:
         raw = flags[key] if flags[key] is not None else file.get(key)
@@ -555,7 +561,7 @@ def cmd_fetch_italian(cfg):
         except UnicodeDecodeError as exc:
             raise DataError(f"{url} is not UTF-8 text: {exc}") from None
         delim = ";" if lines and lines[0].count(";") > lines[0].count(",") else ","
-        table = [line.split(delim) for line in lines]
+        table = list(csv.reader(lines, delimiter=delim))
     else:
         # Mendeley serves an xlsx; parse it with openpyxl if available.
         try:

@@ -51,13 +51,6 @@ SCORERS = {
 }
 
 
-def scorer(metric):
-    """The score function a metric names; an unknown name is a ConfigError."""
-    if metric not in SCORERS:
-        raise ConfigError(f"unknown metric {metric!r} (choose {' or '.join(SCORERS)})")
-    return SCORERS[metric]
-
-
 # ---------------------------------------------------------------------------
 # Expanding-window cross-validation
 # ---------------------------------------------------------------------------
@@ -108,15 +101,14 @@ class CVConfig:
         return sizes
 
 
-def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1):
-    """Score a model factory over expanding-window folds.
+def expanding_window_cv(y, X, fit, cfg: CVConfig, m_season=1):
+    """Score a fit callable over expanding-window folds by MASE.
 
-    ``factory()`` returns a fresh forecaster with fit(y, X) and
-    forecast(h, X_future); ``metric`` names a :func:`scorer`.  Failing folds
-    are skipped with a warning; if all folds fail a NumericError is raised.
+    ``fit(y_head, X_head)`` returns a forecaster fitted on one fold's
+    training rows, with forecast(h, X_future).  Failing folds are skipped
+    with a warning; if all folds fail a NumericError is raised.
     Returns (mean_score, fold_scores).
     """
-    score = scorer(metric)
     y = np.asarray(y, dtype=float)
     folds = cfg.fold_sizes(len(y))
     if not folds:
@@ -127,10 +119,9 @@ def expanding_window_cv(y, X, factory, cfg: CVConfig, metric="mase", m_season=1)
     scores = []
     for n in folds:
         try:
-            model = factory()
-            model.fit(y[:n], X[:n] if X is not None else None)
+            model = fit(y[:n], X[:n] if X is not None else None)
             fc = model.forecast(cfg.horizon, X[n:n + cfg.horizon] if X is not None else None)
-            scores.append(score(y[n:n + cfg.horizon], fc, y[:n], m_season))
+            scores.append(mase(y[n:n + cfg.horizon], fc, y[:n], m_season))
         except ConfigError:
             raise
         except HiercastError as exc:

@@ -287,10 +287,7 @@ class Narx:
         self.seed = seed
 
     def fit(self, y, X=None):
-        fitted, = Narx.fit_many([self], [y], [X])
-        if isinstance(fitted, HiercastError):
-            raise fitted
-        return fitted
+        return _raise_or(Narx.fit_many([self], [y], [X])[0])
 
     @staticmethod
     def fit_many(models, ys, Xs):
@@ -498,27 +495,14 @@ def select_model(y, X, candidates, cv: CVConfig, m_season=1):
     history its forecast is exact.  This is :func:`select_models` for one
     series."""
     y = np.asarray(y, dtype=float)
-    result, = select_models(y[:, None], [X], [candidates], cv, m_season)
-    if isinstance(result, HiercastError):
-        raise result
-    return result
+    return _raise_or(select_models(y[:, None], [X], [candidates], cv, m_season)[0])
 
 
-class _Fitted:
-    """Stands in for a candidate whose fit on a CV fold was computed
-    beforehand: ``fit`` raises that fit's error, ``forecast`` is the fitted
-    model's."""
-
-    def __init__(self, fitted):
-        self.fitted = fitted
-
-    def fit(self, y, X=None):
-        if isinstance(self.fitted, HiercastError):
-            raise self.fitted
-        return self
-
-    def forecast(self, h, X_future=None):
-        return self.fitted.forecast(h, X_future)
+def _raise_or(entry):
+    """A model entry of a fit-many result; an error entry is raised."""
+    if isinstance(entry, HiercastError):
+        raise entry
+    return entry
 
 
 def _fit_all(models, ys, Xs):
@@ -554,6 +538,9 @@ def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
     """
     Y = np.asarray(Y, dtype=float)
     Xs = [None] * Y.shape[1] if Xs is None else list(Xs)
+    if len(Xs) != Y.shape[1] or len(candidates) != Y.shape[1]:
+        raise ConfigError(f"{Y.shape[1]} series need as many exog entries and "
+                          f"candidate lists, got {len(Xs)} and {len(candidates)}")
     if not all(candidates):
         raise ConfigError("no candidates given")
     if len({len(c) for c in candidates}) > 1:
@@ -561,15 +548,14 @@ def select_models(Y, Xs, candidates, cv: CVConfig, m_season=1):
     folds = cv.fold_sizes(len(Y))
     scored = [[] for _ in Xs]
     for idx in range(len(candidates[0]) if candidates else 0):
-        fits = [_fit_all([copy.deepcopy(c[idx]) for c in candidates], list(Y[:n].T),
-                         [X[:n] if X is not None else None for X in Xs])
-                for n in folds]
+        fits = {n: _fit_all([copy.deepcopy(c[idx]) for c in candidates], list(Y[:n].T),
+                            [X[:n] if X is not None else None for X in Xs])
+                for n in folds}
         for i, X in enumerate(Xs):
-            replay = iter([fold[i] for fold in fits])
             try:
                 score, _ = expanding_window_cv(
-                    Y[:, i], X, lambda: _Fitted(next(replay)), cv,
-                    metric="mase", m_season=m_season,
+                    Y[:, i], X, lambda y, X: _raise_or(fits[len(y)][i]), cv,
+                    m_season=m_season,
                 )
             except (NumericError, DataError):
                 continue

@@ -783,6 +783,17 @@ def test_fetch_italian_from_file_url(tmp_path):
     assert "2014-01-03,total,11.0\n" in obs
 
 
+@pytest.mark.parametrize("delim", [",", ";"])
+def test_fetch_italian_quoted_cells(tmp_path, delim):
+    src = tmp_path / "pasta.csv"
+    src.write_text("".join(delim.join(f'"{cell}"' for cell in line.split(",")) + "\n"
+                           for line in ITALIAN_CSV.splitlines()))
+    assert main(["fetch-italian", "--out", str(tmp_path / "it"),
+                 "--url", src.as_uri()]) == 0
+    obs = (tmp_path / "it" / "observations.csv").read_text()
+    assert "2014-01-03,total,11.0\n" in obs
+
+
 class TestBadValues:
     @pytest.mark.parametrize("source", ["flag", "file"])
     @pytest.mark.parametrize("command,key,value", BAD_VALUES)
@@ -849,6 +860,30 @@ class TestConfigPrecedence:
 
     def test_missing_config_file(self, capsys):
         assert main(["synth", "--config", "/nope/run.ini"]) == 2
+
+    def test_key_no_option_reads_is_config_error(self, dataset, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nhorizn = 14\n")
+        out = tmp_path / "base.csv"
+        argv = ["forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+                "--observations", str(dataset / "observations.csv"),
+                "--split", "100", "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "'horizn'" in err["message"]
+        assert not out.exists()
+
+    def test_key_another_subcommand_reads_is_valid(self, dataset, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nhorizon = 14\nepochs = 5\n"
+                       "include_narx = false\ninclude_combinations = false\n")
+        out = tmp_path / "base.csv"
+        assert main(["forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+                     "--observations", str(dataset / "observations.csv"),
+                     "--split", "100", "--out", str(out),
+                     "--config", str(cfg)]) == 0
+        assert read_forecast_set(out).horizon == 14
 
 
 class TestTopLevel:

@@ -107,7 +107,7 @@ class TestCV:
 
         y = np.arange(20.0)
         cfg = CVConfig(starting_window=10, ending_window=16, horizon=2, step=3)
-        expanding_window_cv(y, None, Recorder, cfg, metric="smape")
+        expanding_window_cv(y, None, Recorder().fit, cfg)
         assert [len(s) for s in seen] == [10, 13, 16]
         for s in seen:
             assert np.array_equal(s, y[:len(s)])
@@ -124,7 +124,7 @@ class TestCV:
                 return y[self.n:self.n + h]
 
         cfg = CVConfig(starting_window=20, ending_window=26, horizon=2, step=3)
-        mean, scores = expanding_window_cv(y, None, Oracle, cfg)
+        mean, scores = expanding_window_cv(y, None, Oracle().fit, cfg)
         assert mean == 0.0
         assert len(scores) == 3
 
@@ -144,7 +144,7 @@ class TestCV:
         y = np.arange(20.0)
         cfg = CVConfig(starting_window=10, ending_window=13, horizon=2, step=3)
         with pytest.warns(UserWarning, match="failed"):
-            _, scores = expanding_window_cv(y, None, Flaky, cfg)
+            _, scores = expanding_window_cv(y, None, Flaky().fit, cfg)
         assert len(scores) == 1
 
     def test_all_folds_failing_is_numeric_error(self):
@@ -156,18 +156,12 @@ class TestCV:
         cfg = CVConfig(starting_window=10, ending_window=12, horizon=2, step=2)
         with pytest.warns(UserWarning):
             with pytest.raises(NumericError, match="every"):
-                expanding_window_cv(y, None, Broken, cfg)
+                expanding_window_cv(y, None, Broken().fit, cfg)
 
     def test_no_feasible_folds_is_config_error(self):
         cfg = CVConfig(starting_window=50, ending_window=60, horizon=5)
         with pytest.raises(ConfigError):
-            expanding_window_cv(np.arange(20.0), None, Naive, cfg)
-
-    def test_unknown_metric_is_config_error(self):
-        cfg = CVConfig(starting_window=10, ending_window=12, horizon=2)
-        with pytest.raises(ConfigError, match="unknown metric 'bogus'"):
-            expanding_window_cv(np.arange(20.0), None, Naive, cfg,
-                                metric="bogus")
+            expanding_window_cv(np.arange(20.0), None, Naive().fit, cfg)
 
 
 class TestChi2:

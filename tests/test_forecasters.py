@@ -75,7 +75,8 @@ class TestArx:
         y = 20.0 + 5.0 * np.sin(2 * np.pi * np.arange(100) / 7) \
             + rng.standard_normal(100)
         cv = CVConfig(starting_window=79, ending_window=93, horizon=7, step=7)
-        score, folds = expanding_window_cv(y, X, Arx, cv, m_season=7)
+        score, folds = expanding_window_cv(y, X, lambda y, X: Arx().fit(y, X), cv,
+                                           m_season=7)
         assert np.isfinite(score) and len(folds) == 3
 
     def test_differencing_heuristic_fires_on_trend(self):
@@ -369,15 +370,47 @@ class TestSelectModels:
         Y, Xs = self._panel(rng)
         calls = []
 
-        def recording(y, X, factory, cfg, **kwargs):
+        def recording(y, X, fit, cfg, **kwargs):
             calls.append((np.shape(y), cfg))
-            return cv(y, X, factory, cfg, **kwargs)
+            return cv(y, X, fit, cfg, **kwargs)
 
         cv = forecasters.expanding_window_cv
         monkeypatch.setattr(forecasters, "expanding_window_cv", recording)
         cands = [self._candidates(i) for i in range(Y.shape[1])]
         select_models(Y, Xs, cands, self.CV, m_season=7)
         assert calls == [((self.T,), self.CV)] * (Y.shape[1] * len(cands[0]))
+
+    def test_fold_fit_errors_score_as_fitting_each_fold(self, rng, monkeypatch):
+        # Holt-Winters cannot fit the 10-row first fold but fits the others;
+        # the fold fits selection holds score as fitting each fold afresh
+        y = 10 + np.sin(2 * np.pi * np.arange(40) / 7) + 0.3 * rng.standard_normal(40)
+        cv = CVConfig(starting_window=10, ending_window=24, horizon=7, step=7)
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(scoring(*args, **kwargs))
+            return results[-1]
+
+        scoring = forecasters.expanding_window_cv
+        monkeypatch.setattr(forecasters, "expanding_window_cv", recording)
+        (_, _, score), warned = _recorded(select_model, y, None, [Ets("hw", 7)],
+                                          cv, m_season=7)
+        expected, expected_warned = _recorded(
+            expanding_window_cv, y, None, lambda y, X: Ets("hw", 7).fit(y, X), cv,
+            m_season=7)
+        assert results == [expected] and score == expected[0]
+        assert len(expected[1]) == 2
+        assert warned == expected_warned
+        assert any(w.startswith("CV fold with training size 10 failed")
+                   for w in warned)
+
+    @pytest.mark.parametrize("n_xs,n_lists", [(2, 3), (3, 2)])
+    def test_list_lengths_must_match_the_series(self, rng, n_xs, n_lists):
+        Y = rng.standard_normal((self.T, 3))
+        with pytest.raises(ConfigError, match=f"3 series .* got {n_xs} and {n_lists}"):
+            select_models(Y, [None] * n_xs,
+                          [self._candidates(i) for i in range(n_lists)],
+                          self.CV, m_season=7)
 
     def test_narx_fit_many_equals_fitting_alone(self, rng):
         Y, Xs = self._panel(rng)
