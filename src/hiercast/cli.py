@@ -22,9 +22,10 @@ from .errors import ConfigError, DataError, HiercastError, NumericError
 from .evaluate import SCORERS, CVConfig, EvalReport, nemenyi_svg
 from .forecasters import default_candidates, select_models
 from .forecastset import ForecastSet, read_forecast_set
-from .hierarchy import (build_summing_matrix, coherence_violation,
-                        format_timestamp, load_error_matrix, load_hierarchy,
-                        load_panel, timestamps_are_dates, _parse_ts)
+from .hierarchy import (build_summing_matrix, calendar_matrix,
+                        coherence_violation, format_timestamp,
+                        load_error_matrix, load_hierarchy, load_panel,
+                        timestamps_are_dates, _parse_ts)
 from .nnd import (STRATEGIES, ArchConfig, NndConfig, WindowConfig,
                   feature_matrix, run)
 from .reconcile import METHODS, reconcile
@@ -89,8 +90,9 @@ def _unit_float(token):
     return x
 
 
-def load_config_file(path):
-    """Flat key=value config with sections; all sections are merged."""
+def load_config_file(path, command=None):
+    """Flat key=value config with sections; all sections are merged, the
+    one named after ``command`` last so that its keys win."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -99,7 +101,7 @@ def load_config_file(path):
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     merged = dict(parser.defaults())
-    for section in parser.sections():
+    for section in sorted(parser.sections(), key=lambda name: name == command):
         merged.update(parser.items(section))
     return merged
 
@@ -113,7 +115,7 @@ def settings(args, rows):
     one that does not cast, a REQUIRED one missing or empty, or a file key
     that no subcommand's row declares is a ConfigError."""
     flags = vars(args)
-    file = load_config_file(args.config) if args.config else {}
+    file = load_config_file(args.config, args.command) if args.config else {}
     declared = {key for _, _, cmd_rows in COMMANDS.values() for key, _, _ in cmd_rows}
     unknown = sorted(set(file) - declared)
     if unknown:
@@ -236,22 +238,24 @@ def cmd_forecast(cfg):
         [X[:n_train] if X is not None else None for X in Xs], cands, cv,
         m_season=m_season,
     )
+    future = _future_timestamps(panel, n_train, h)
+    calendar = calendar_matrix(future, panel.calendar)[1]
     values = np.empty((h, len(nodes)))
     chosen = {}
     for j, (node_id, X, result) in enumerate(zip(nodes, Xs, selected)):
         if isinstance(result, HiercastError):
             raise result
         fitted, kind, score = result
-        X_future = (X[n_train:n_train + h]
-                    if X is not None and X.shape[0] >= n_train + h else None)
+        X_future = None
+        if X is not None and n_train + h <= panel.T:
+            X_future = X[n_train:n_train + h]
+        elif X is not None and X.shape[1] == calendar.shape[1]:
+            X_future = calendar      # a calendar-only node past the panel's end
         values[:, j] = fitted.forecast(h, X_future)
         chosen[node_id] = {"model": kind, "cv_mase": score}
 
-    fs = ForecastSet(
-        method="fstar", node_ids=tuple(nodes),
-        timestamps=_future_timestamps(panel, n_train, h),
-        values=values,
-    )
+    fs = ForecastSet(method="fstar", node_ids=tuple(nodes), timestamps=future,
+                     values=values)
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     fs.write_csv(out)
     meta_path = os.path.splitext(out)[0] + "_models.json"

@@ -1,14 +1,12 @@
 """Per-node forecast vectors over a horizon, with the shared CSV schema
 timestamp,node_id,forecast,method."""
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .hierarchy import (format_timestamp, pivot_long, read_long_csv,
-                        timestamps_are_dates)
+from .hierarchy import _write_long, read_long_csv
 
 
 @dataclass
@@ -17,6 +15,7 @@ class ForecastSet:
     node_ids: tuple            # canonical order (possibly a subset of nodes)
     timestamps: np.ndarray     # (H,) datetime64[s]
     values: np.ndarray         # (H, len(node_ids))
+    _col: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[s]")
@@ -26,6 +25,7 @@ class ForecastSet:
                 f"forecast values shape {self.values.shape} does not match "
                 f"{len(self.timestamps)} steps x {len(self.node_ids)} nodes"
             )
+        self._col = {n: j for j, n in enumerate(self.node_ids)}
 
     @property
     def horizon(self):
@@ -33,35 +33,26 @@ class ForecastSet:
 
     def column(self, node_id):
         try:
-            j = self.node_ids.index(node_id)
-        except ValueError:
+            return self.values[:, self._col[node_id]]
+        except KeyError:
             raise DataError(f"no forecast for node {node_id!r}") from None
-        return self.values[:, j]
 
     def write_csv(self, path):
-        date_only = timestamps_are_dates(self.timestamps)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "node_id", "forecast", "method"])
-            for t, ts in enumerate(self.timestamps):
-                stamp = format_timestamp(ts, date_only)
-                for j, node_id in enumerate(self.node_ids):
-                    writer.writerow([stamp, node_id, repr(float(self.values[t, j])), self.method])
+        _write_long(path, ["timestamp", "node_id", "forecast", "method"],
+                    self.timestamps, self.node_ids, self.values, (self.method,))
 
 
 def read_forecast_set(path) -> ForecastSet:
     """Read one method's forecasts; columns follow first appearance."""
-    table = read_long_csv(path, ("node_id", "method"), "forecast")
-    if not table.row_value:
-        raise DataError(f"{path}: empty forecast file")
-    methods = sorted({method for _, method in table.keys})
-    if len(methods) != 1:
-        raise DataError(f"{path}: mixed methods in one forecast file: {methods}")
-    nodes = tuple(dict.fromkeys(node_id for node_id, _ in table.keys))
-    timestamps = np.unique(table.instants)
-    values = pivot_long(path, table, timestamps,
-                        [(n, methods[0]) for n in nodes], "forecast")
-    return ForecastSet(
-        method=methods[0], node_ids=nodes,
-        timestamps=timestamps, values=values,
-    )
+    def one_method(keys):
+        if not keys:
+            raise DataError(f"{path}: empty forecast file")
+        methods = sorted({method for _, method in keys})
+        if len(methods) != 1:
+            raise DataError(f"{path}: mixed methods in one forecast file: {methods}")
+        return keys
+
+    timestamps, keys, values = read_long_csv(
+        path, ("node_id", "method"), "forecast", "forecast", one_method)
+    return ForecastSet(method=keys[0][1], node_ids=tuple(n for n, _ in keys),
+                       timestamps=timestamps, values=values)

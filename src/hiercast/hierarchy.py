@@ -5,11 +5,11 @@ by level, then lexicographic node id.
 """
 
 import csv
+import io
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -323,7 +323,7 @@ def timestamps_are_dates(timestamps):
 
 def load_hierarchy(path) -> Hierarchy:
     """Read a hierarchy CSV with header node_id,parent_id,level."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"node_id", "parent_id", "level"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -338,55 +338,54 @@ def load_hierarchy(path) -> Hierarchy:
     return Hierarchy.from_nodes(nodes)
 
 
-class LongTable(NamedTuple):
-    """The rows of a long-format CSV, as read by :func:`read_long_csv`.
+def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
+    """Read a long-format CSV straight into its matrix.
 
-    Data row i, in file order, holds the timestamp ``instants[row_stamp[i]]``,
-    the key ``keys[row_key[i]]`` and the value ``row_value[i]``.  Typed
-    arrays, not per-row objects, keep a large file's footprint small.
-    """
-
-    instants: np.ndarray   # distinct timestamps, datetime64[s], first appearance
-    keys: list             # distinct key tuples, first appearance
-    row_stamp: array
-    row_key: array
-    row_value: array
-
-
-def read_long_csv(path, columns, value="value") -> LongTable:
-    """Read a long-format CSV with a ``timestamp`` column, the key
-    ``columns`` and a numeric ``value`` column (any order; other columns
-    are ignored).  Each distinct timestamp is parsed once.  A short row or
-    a cell that does not parse is a DataError naming the file and line.
+    The file has a ``timestamp`` column, the key ``columns`` and a numeric
+    ``value`` column, in any order; other columns are ignored.  Returns
+    ``(timestamps, keys, matrix)`` with ``matrix[t, j]`` the value at
+    ``timestamps[t]`` for ``keys[j]``: a node id for one key column, a tuple
+    of cells for several.  ``timestamps`` defaults to the file's distinct
+    instants, sorted, and ``keys`` to the file's keys in first appearance
+    (or is a function of those).  Rows at other instants or with other keys
+    are ignored; when a cell repeats, the later row wins.  Each distinct
+    timestamp is parsed once.  A short row or a cell that does not parse is
+    a DataError naming the file and line; a missing cell, one naming its
+    key and timestamp.
     """
     expected = ",".join(("timestamp", *columns, value))
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if value == "error" and value not in header:
             value = "value"    # an errors file may name its column "value"
         if not {"timestamp", *columns, value} <= set(header):
             raise DataError(f"{path}: expected header {expected}")
-        # (timestamp, *key cells, value) of a row
-        fields = itemgetter(*(header.index(c) for c in ("timestamp", *columns, value)))
+        stamp_value = itemgetter(header.index("timestamp"), header.index(value))
+        key_of = itemgetter(*(header.index(c) for c in columns))
         stamp_ids, stamp_lines, key_ids = {}, [], {}
         row_stamp, row_key, row_value = array("l"), array("l"), array("d")
         for row in reader:
             if not row:
                 continue
             try:
-                cells = fields(row)
-                number = float(cells[-1])
+                stamp, text = stamp_value(row)
+                key = key_of(row)
+                number = float(text)
             except IndexError:
                 raise DataError(f"{path}: line {reader.line_num}: expected "
                                 f"{len(header)} fields, got {len(row)}") from None
             except ValueError as exc:
                 raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-            t = stamp_ids.setdefault(cells[0], len(stamp_ids))
-            if t == len(stamp_lines):
+            t = stamp_ids.get(stamp)
+            if t is None:
+                t = stamp_ids[stamp] = len(stamp_lines)
                 stamp_lines.append(reader.line_num)
+            j = key_ids.get(key)
+            if j is None:
+                j = key_ids[key] = len(key_ids)
             row_stamp.append(t)
-            row_key.append(key_ids.setdefault(cells[1:-1], len(key_ids)))
+            row_key.append(j)
             row_value.append(number)
     instants = np.empty(len(stamp_ids), dtype="datetime64[s]")
     for stamp, t in stamp_ids.items():
@@ -394,39 +393,35 @@ def read_long_csv(path, columns, value="value") -> LongTable:
             instants[t] = _parse_ts(stamp)
         except DataError as exc:
             raise DataError(f"{path}: line {stamp_lines[t]}: {exc}") from None
-    return LongTable(instants, list(key_ids), row_stamp, row_key, row_value)
-
-
-def pivot_long(path, table: LongTable, timestamps, keys, what):
-    """The (len(timestamps), len(keys)) matrix of a table's values.
-
-    Rows at other instants or with other keys are ignored; when a
-    (timestamp, key) cell repeats, the later row wins.  A missing cell is a
-    DataError naming its key and timestamp.
-    """
+    if timestamps is None:
+        timestamps = np.unique(instants)
+    if keys is None or callable(keys):
+        keys = keys(list(key_ids)) if keys else list(key_ids)
+    # each row's cell of the flat matrix; a row at another instant or with
+    # another key goes to a spare cell past its end
     row_at = {ts: t for t, ts in enumerate(timestamps.view("int64").tolist())}
-    t_of = [row_at.get(ts) for ts in table.instants.view("int64").tolist()]
-    col = {key: j for j, key in enumerate(keys)}
-    j_of = [col.get(key) for key in table.keys]
-    width = len(keys)
-    cells = [None] * (len(timestamps) * width)
-    for i, k, number in zip(table.row_stamp, table.row_key, table.row_value):
-        t, j = t_of[i], j_of[k]
-        if t is not None and j is not None:
-            cells[t * width + j] = number
-    if None in cells:
-        t, j = divmod(cells.index(None), width)
-        raise DataError(
-            f"{path}: missing {what} for {', '.join(keys[j])} at {timestamps[t]}"
-        )
-    return np.array(cells, dtype=float).reshape(len(timestamps), width)
+    col_at = {key: j for j, key in enumerate(keys)}
+    cell = np.array([row_at.get(ts, -1) for ts in instants.view("int64").tolist()], int)
+    cell = cell[np.asarray(row_stamp)]
+    col = np.array([col_at.get(key, -1) for key in key_ids], int)[np.asarray(row_key)]
+    outside = (cell < 0) | (col < 0)
+    cell *= len(keys)
+    cell += col
+    size = len(timestamps) * len(keys)
+    cell[outside] = size
+    last = np.full(size + 1, -1)        # each cell's last row, then the spare
+    np.maximum.at(last, cell, np.arange(len(cell)))
+    if (last[:size] < 0).any():
+        t, j = divmod(int(np.argmax(last[:size] < 0)), len(keys))
+        key = keys[j] if isinstance(keys[j], str) else ", ".join(keys[j])
+        raise DataError(f"{path}: missing {what} for {key} at {timestamps[t]}")
+    matrix = np.asarray(row_value)[last[:size]].reshape(len(timestamps), len(keys))
+    return timestamps, keys, matrix
 
 
 def load_error_matrix(path, hierarchy):
     """The (timestamps, M) matrix of a long-format errors CSV."""
-    table = read_long_csv(path, ("node_id",), "error")
-    return pivot_long(path, table, np.unique(table.instants),
-                      [(n,) for n in hierarchy.node_ids], "error")
+    return read_long_csv(path, ("node_id",), "error", "error", hierarchy.node_ids)[2]
 
 
 def load_panel(hierarchy, obs_path, exog_path=None,
@@ -436,29 +431,20 @@ def load_panel(hierarchy, obs_path, exog_path=None,
     Columns follow hierarchy order; exog variables are sorted per node and
     aligned to the observation timestamps.
     """
-    table = read_long_csv(obs_path, ("node_id",))
-    if not table.row_value:
+    timestamps, _, values = read_long_csv(obs_path, ("node_id",), "value",
+                                          "observation", hierarchy.node_ids)
+    if not len(timestamps):
         raise DataError(f"{obs_path}: empty observations file")
-    timestamps = np.unique(table.instants)
-    values = pivot_long(obs_path, table, timestamps,
-                        [(n,) for n in hierarchy.node_ids], "observation")
     exog = {}
     if exog_path is not None:
-        table = read_long_csv(exog_path, ("node_id", "variable"))
-        keys = sorted(table.keys)
-        mat = pivot_long(exog_path, table, timestamps, keys, "exog value")
+        _, keys, mat = read_long_csv(exog_path, ("node_id", "variable"), "value",
+                                     "exog value", sorted, timestamps)
         columns = {}
         for j, (node_id, _) in enumerate(keys):
             columns.setdefault(node_id, []).append(j)
         for node_id, cols in columns.items():
             exog[node_id] = ([keys[j][1] for j in cols], mat[:, cols])
-    return SeriesPanel(
-        hierarchy=hierarchy,
-        timestamps=timestamps,
-        values=values,
-        exog=exog,
-        calendar=calendar,
-    )
+    return SeriesPanel(hierarchy, timestamps, values, exog, calendar)
 
 
 def write_hierarchy(hierarchy, path):
@@ -471,15 +457,29 @@ def write_hierarchy(hierarchy, path):
             writer.writerow([node_id, parent_id or "", level])
 
 
-def write_observations(panel, path):
-    date_only = timestamps_are_dates(panel.timestamps)
+def _csv_cell(text):
+    """``text`` as csv.writer writes it in a row of several cells."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[:-3]      # drop the empty cell and the line end
+
+
+def _write_long(path, header, timestamps, node_ids, values, suffix=()):
+    """One ``stamp,node,repr(value),*suffix`` row per (timestamp, node), the
+    bytes csv.writer would write, with one write per timestamp."""
+    date_only = timestamps_are_dates(timestamps)
+    cells = [_csv_cell(n) for n in node_ids]
+    end = "".join("," + _csv_cell(s) for s in suffix) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "node_id", "value"])
-        for t, ts in enumerate(panel.timestamps):
+        fh.write(",".join(header) + "\r\n")
+        for ts, row in zip(timestamps, values.tolist()):
             stamp = format_timestamp(ts, date_only)
-            for j, node_id in enumerate(panel.hierarchy.node_ids):
-                writer.writerow([stamp, node_id, repr(float(panel.values[t, j]))])
+            fh.write("".join([f"{stamp},{c},{v!r}{end}" for c, v in zip(cells, row)]))
+
+
+def write_observations(panel, path):
+    _write_long(path, ["timestamp", "node_id", "value"], panel.timestamps,
+                panel.hierarchy.node_ids, panel.values)
 
 
 def write_exog(panel, path):

@@ -107,6 +107,44 @@ class TestForecast:
         assert read_forecast_set(out).values.shape == (7, 7)
         assert (tmp_path / "missing" / "base_models.json").exists()
 
+    def test_byte_order_mark_is_accepted(self, dataset, tmp_path):
+        """Excel's "CSV UTF-8" starts each file with a byte-order mark."""
+        for name in ("hierarchy.csv", "observations.csv"):
+            text = (dataset / name).read_text()
+            (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_forecast(dataset, a) == 0
+        assert run_forecast(tmp_path, b) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_forecast_past_the_panel_end(self, tmp_path, capsys):
+        """Calendar dummies are built for the dates after the panel; a node
+        with exog columns still needs their future values."""
+        data = tmp_path / "data"
+        argv = ["synth", "--children-per-level", "2", "--t", "60", "--seed", "1"]
+        assert main([*argv, "--out", str(data)]) == 0
+        out = tmp_path / "base.csv"
+        assert run_forecast(data, out, split="60") == 0
+        fs = read_forecast_set(out)
+        assert fs.node_ids == ("total", "g00", "g01")
+        assert np.array_equal(fs.timestamps, np.arange(
+            "2015-03-06", "2015-03-13", dtype="datetime64[D]"))
+        assert np.all(np.isfinite(fs.values))
+
+        promo = tmp_path / "promo"
+        assert main([*argv, "--regime", "switching", "--promo-lift", "30",
+                     "--noise-sigma", "0.05", "--out", str(promo)]) == 0
+        capsys.readouterr()
+        code = main(["forecast", "--hierarchy", str(promo / "hierarchy.csv"),
+                     "--observations", str(promo / "observations.csv"),
+                     "--exog", str(promo / "exog.csv"), "--split", "60",
+                     "--horizon", "7", "--out", str(tmp_path / "x.csv"),
+                     "--include-narx", "false",
+                     "--include-combinations", "false"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "ARX fitted with exog needs future exog values"
+
     def test_header_only_observations_is_data_error(self, dataset, tmp_path,
                                                     capsys):
         obs = tmp_path / "obs.csv"
@@ -884,6 +922,15 @@ class TestConfigPrecedence:
                      "--split", "100", "--out", str(out),
                      "--config", str(cfg)]) == 0
         assert read_forecast_set(out).horizon == 14
+
+    @pytest.mark.parametrize("command,horizon", [("forecast", 14), ("nnd", 28)])
+    def test_running_subcommand_section_wins(self, tmp_path, command, horizon):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[run]\nhierarchy = h.csv\nobservations = o.csv\n"
+                       "split = 10\nout = o\nout_dir = o\n"
+                       "[forecast]\nhorizon = 14\n[nnd]\nhorizon = 28\n")
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        assert cli.settings(args, cli.COMMANDS[command][2])["horizon"] == horizon
 
 
 class TestTopLevel:

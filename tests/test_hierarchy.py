@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +8,7 @@ from hypothesis import given
 from hiercast import (DataError, Hierarchy, SeriesPanel, aggregate,
                       build_summing_matrix, calendar_matrix,
                       coherence_violation, load_hierarchy, load_panel)
+from hiercast.forecastset import ForecastSet, read_forecast_set
 from hiercast.hierarchy import write_exog, write_hierarchy, write_observations
 
 from conftest import make_hierarchy, panel_from_bottom, uneven_trees
@@ -230,3 +234,49 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(DataError, match="missing"):
             load_panel(h, tmp_path / "obs.csv")
+
+    def test_forecast_rows_are_csv_writer_bytes(self, tmp_path):
+        ids = ("a,b", 'say "hi"', "two\nlines", " lead", "")
+        ts = np.array(["2020-01-01T06:00", "2020-01-02"], dtype="datetime64[s]")
+        values = np.array([[1.5, -0.0, 1e-300, np.inf, 2.0],
+                           [np.nan, 3.0, -7.25, 1e22, 0.1]])
+        fs = ForecastSet("m,1", ids, ts, values)
+        fs.write_csv(tmp_path / "fs.csv")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["timestamp", "node_id", "forecast", "method"])
+        for t, stamp in enumerate(["2020-01-01T06:00:00", "2020-01-02T00:00:00"]):
+            for j, node_id in enumerate(ids):
+                writer.writerow([stamp, node_id, repr(float(values[t, j])), "m,1"])
+        assert (tmp_path / "fs.csv").read_bytes() == want.getvalue().encode()
+        back = read_forecast_set(tmp_path / "fs.csv")
+        assert back.node_ids == ids and back.method == "m,1"
+        assert np.array_equal(back.values, values, equal_nan=True)
+        with pytest.raises(DataError, match="no forecast for node 'zz'"):
+            fs.column("zz")
+
+    @pytest.mark.parametrize("bad,message", [
+        ("2020-01-02,g00", "line 6: expected 3 fields, got 2"),
+        ("2020-01-02,g00,four", "line 6: could not convert string to float: 'four'"),
+        ("2020-13-02,g00,4", "line 6: unparseable timestamp '2020-13-02'"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, bad, message):
+        """A blank line and a quoted two-line cell come before the bad row,
+        so the reported line is the file's, not the row count."""
+        h = make_hierarchy((2,))
+        path = tmp_path / "obs.csv"
+        path.write_text("timestamp,node_id,value\n2020-01-01,total,9\n\n"
+                        '2020-01-01,"g0\n0",4\n' + bad + "\n2020-01-01,g00,4\n")
+        with pytest.raises(DataError) as exc:
+            load_panel(h, path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_missing_cell_names_key_and_timestamp(self, tmp_path):
+        path = tmp_path / "fc.csv"
+        path.write_text("timestamp,node_id,forecast,method\n"
+                        "2020-01-01,a,1,bu\n2020-01-01,b,2,bu\n\n"
+                        '2020-01-02,"b",3,bu\n')
+        with pytest.raises(DataError) as exc:
+            read_forecast_set(path)
+        assert str(exc.value) == (f"{path}: missing forecast for a, bu at "
+                                  "2020-01-02T00:00:00")
