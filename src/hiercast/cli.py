@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, neuralnet
 from .errors import ConfigError, DataError, HiercastError, NumericError
-from .evaluate import SCORERS, CVConfig, EvalReport, nemenyi_svg
+from .evaluate import SCORERS, Q_TABLE, CVConfig, EvalReport, nemenyi_svg
 from .forecasters import default_candidates, select_models
 from .forecastset import ForecastSet, read_forecast_set
 from .hierarchy import (build_summing_matrix, calendar_matrix,
@@ -67,13 +67,14 @@ def _str_list(token):
     return items
 
 
-def _one_of(table, what):
-    """A cast that lower-cases a name and rejects one not in ``table``."""
+def _one_of(table, what, parse=str.lower):
+    """A cast that parses a token (by default, lower-cases a name) and
+    rejects a value not in ``table``."""
     def cast(token):
-        name = str(token).lower()
+        name = parse(token)
         if name not in table:
             raise ConfigError(f"unknown {what} {name!r} "
-                              f"(choose from {', '.join(table)})")
+                              f"(choose from {', '.join(map(str, table))})")
         return name
     return cast
 
@@ -645,7 +646,9 @@ COMMANDS = {
     "evaluate": (cmd_evaluate, "score forecast sets and rank methods", [
         *_INPUTS, _SPLIT, ("metric", _one_of(SCORERS, "metric"), "mase"),
         _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
-        _M_SEASON, ("significance", float, 0.05), ("rank_tests", _bool, True),
+        _M_SEASON,
+        ("significance", _one_of(Q_TABLE, "significance level", float), 0.05),
+        ("rank_tests", _bool, True),
     ]),
     "plot": (cmd_plot, "true-vs-forecast SVG line plots", [
         *_INPUTS, ("forecasts", str, REQUIRED), ("nodes", str, REQUIRED),

@@ -149,52 +149,31 @@ def _average_ranks(row):
     return ranks
 
 
-def _regularized_gamma_p(a, x):
-    """P(a, x), lower regularized incomplete gamma (series/continued fraction)."""
-    if x < 0 or a <= 0:
-        raise NumericError("invalid arguments to incomplete gamma")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(a)
-    if x < a + 1.0:
-        ap = a
-        term = total = 1.0 / a
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return total * math.exp(-x + a * math.log(x) - lg)
-    # Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    frac = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + a * math.log(x) - lg) * frac
-    return 1.0 - q
-
-
 def chi2_sf(x, df):
-    """Survival function of the chi-square distribution."""
+    """Survival function of the chi-square distribution for a positive
+    whole number df, as the finite sum of Abramowitz & Stegun 26.4.4-5.
+    With h = x/2 it is exp(-h) * sum of h^j/j! over j < df/2 (even df), or
+    erfc(sqrt(h)) + exp(-h) * sum of h^(j-1/2)/Gamma(j+1/2) over 1 <= j <=
+    (df-1)/2 (odd df); each term is the one before times h/j or h/(j+1/2).
+    No term is subtracted, so a tail far below 1e-16 keeps its digits."""
+    if not (df >= 1 and float(df).is_integer()):
+        raise ConfigError(f"chi-square degrees of freedom must be a positive "
+                          f"whole number, got {df}")
     if x <= 0:
         return 1.0
-    return 1.0 - _regularized_gamma_p(df / 2.0, x / 2.0)
+    h = x / 2.0
+    if df % 2 == 0:
+        term = total = math.exp(-h)
+        for j in range(1, int(df) // 2):
+            term *= h / j
+            total += term
+        return total
+    term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
+    total = math.erfc(math.sqrt(h))
+    for j in range(1, (int(df) + 1) // 2):
+        total += term
+        term *= h / (j + 0.5)
+    return total
 
 
 def friedman_test(errors):
@@ -220,7 +199,7 @@ def friedman_test(errors):
 # statistic at infinite degrees of freedom divided by sqrt(2), as tabulated
 # by Demsar (2006), "Statistical comparisons of classifiers over multiple
 # data sets", extended to k = 20.
-_Q_TABLE = {
+Q_TABLE = {
     0.05: [None, None, 1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031,
            3.102, 3.164, 3.219, 3.268, 3.313, 3.354, 3.391, 3.426,
            3.458, 3.489, 3.517, 3.544],
@@ -257,14 +236,14 @@ def nemenyi_test(errors, methods=None, significance=0.05):
     """
     errors = np.asarray(errors, dtype=float)
     N, k = errors.shape
-    if significance not in _Q_TABLE:
+    if significance not in Q_TABLE:
         raise ConfigError(f"no critical values for significance {significance}")
     if not 2 <= k <= 20:
         raise ConfigError(f"Nemenyi table covers 2 <= k <= 20 methods, got {k}")
     if methods is None:
         methods = [f"m{j}" for j in range(k)]
     _, _, mean_ranks = friedman_test(errors)
-    q = _Q_TABLE[significance][k]
+    q = Q_TABLE[significance][k]
     cd = q * math.sqrt(k * (k + 1) / (6.0 * N))
     intervals = [(float(r - cd / 2), float(r + cd / 2)) for r in mean_ranks]
     return NemenyiResult(

@@ -476,7 +476,7 @@ def spec_grid(out_dim, exog_dim, window, n_conv=6, n_dense=3):
                 (16, 32, 64), (4, 8, 16), (64, 128, 256))]
 
 
-def grid_search(specs, dataset, config, trainer=train):
+def grid_search(specs, dataset, config):
     """Train each candidate spec and keep the lowest validation loss.
 
     Candidates are evaluated in the given order; ties keep the earlier
@@ -488,7 +488,7 @@ def grid_search(specs, dataset, config, trainer=train):
     best = None
     for i, spec in enumerate(specs):
         try:
-            net = trainer(spec, dataset, config)
+            net = train(spec, dataset, config)
         except NumericError as exc:
             warnings.warn(f"grid cell {i} failed: {exc}")
             continue

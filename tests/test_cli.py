@@ -10,7 +10,7 @@ import pytest
 
 from hiercast import (Hierarchy, aggregate, build_summing_matrix,
                       load_hierarchy)
-from hiercast import cli, nnd, reconcile
+from hiercast import cli, evaluate, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
 from hiercast.hierarchy import write_hierarchy, write_observations
@@ -539,6 +539,91 @@ class TestEvaluate:
         assert "'bogus'" in err["message"]
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("rank_tests", ["true", "false"])
+    def test_significance_outside_table_checked_before_inputs_are_read(
+            self, tmp_path, capsys, rank_tests):
+        missing = str(tmp_path / "missing.csv")
+        code = main([
+            "evaluate", "--hierarchy", missing, "--observations", missing,
+            "--split", "100", "--forecasts", missing,
+            "--significance", "0.01", "--rank-tests", rank_tests,
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (
+            "bad value for 'significance': unknown significance level 0.01 "
+            f"(choose from {', '.join(map(str, evaluate.Q_TABLE))})")
+        assert not (tmp_path / "eval").exists()
+
+    def test_duplicate_method_is_config_error(self, dataset, tmp_path, capsys):
+        rec = self._reconciled(dataset, tmp_path)
+        copy = tmp_path / "bu_copy.csv"
+        copy.write_bytes((rec / "bu.csv").read_bytes())
+        code = main([
+            "evaluate",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--forecasts", f"{rec / 'bu.csv'},{copy}",
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == ("duplicate method names across forecast "
+                                  "files: ['bu', 'bu']")
+        assert not (tmp_path / "eval").exists()
+
+    def test_split_leaving_fewer_rows_than_horizon_is_data_error(
+            self, dataset, tmp_path, capsys):
+        rec = self._reconciled(dataset, tmp_path)
+        code = main([
+            "evaluate",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "115", "--forecasts", f"{rec / 'bu.csv'},{rec / 'ahp.csv'}",
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == ("need 7 held-out rows after the split, "
+                                  "panel has 5")
+        assert not (tmp_path / "eval").exists()
+
+    def test_zero_scale_series_is_flagged_and_left_out(self, tmp_path):
+        hier = Hierarchy.from_nodes(
+            [("total", None, 0), ("a", "total", 1), ("b", "total", 1)])
+        t = np.arange(120)
+        bottom = np.column_stack([np.zeros(120),
+                                  10 + np.sin(2 * np.pi * t / 7) + 0.1 * t])
+        data = tmp_path / "data"
+        data.mkdir()
+        write_hierarchy(hier, data / "hierarchy.csv")
+        write_observations(panel_from_bottom(hier, bottom),
+                           data / "observations.csv")
+        rec = self._reconciled(data, tmp_path)
+        out_dir = tmp_path / "eval"
+        assert main([
+            "evaluate",
+            "--hierarchy", str(data / "hierarchy.csv"),
+            "--observations", str(data / "observations.csv"),
+            "--split", "100", "--forecasts", f"{rec / 'bu.csv'},{rec / 'ahp.csv'}",
+            "--out-dir", str(out_dir),
+        ]) == 0
+        doc = json.loads((out_dir / "report.json").read_text())
+        assert doc["flagged"] == {
+            "a": "MASE denominator is zero (seasonally constant series)"}
+        assert sorted(doc["series"]) == ["b", "total"]
+        assert doc["level_averages"]["1"] == doc["series"]["b"]["scores"]
+        errors = [[doc["series"][n]["scores"][m] for m in ("bu", "ahp")]
+                  for n in ("b", "total")]
+        stat, p, ranks = evaluate.friedman_test(errors)
+        assert doc["friedman"] == {"statistic": stat, "p_value": p,
+                                   "mean_ranks": {"bu": ranks[0],
+                                                  "ahp": ranks[1]}}
+
 
 class TestNndCommand:
     def test_nnd2_pipeline(self, dataset, tmp_path):
@@ -734,6 +819,7 @@ BAD_VALUES = [
     ("reconcile", "methods", "bu,xyz"),            # _methods
     ("reconcile", "shrinkage", "2"),               # _unit_float
     ("evaluate", "metric", "xyz"),                 # _one_of
+    ("evaluate", "significance", "0.01"),          # _one_of over Q_TABLE
     ("synth", "start", "notadate"),                # GeneratorSpec
     ("synth", "m_season", "0"),                    # GeneratorSpec
     ("synth", "noise_sigma", "-1"),                # GeneratorSpec

@@ -182,6 +182,29 @@ class TestChi2:
         vals = [chi2_sf(x, 4) for x in np.linspace(0.1, 30, 50)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_tail_keeps_its_digits(self):
+        # a tail below 1e-16 is not lost to 1 - (1 - Q); abs=0, as approx
+        # would otherwise accept anything within 1e-12 of a tiny tail
+        assert chi2_sf(60, 2) == pytest.approx(math.exp(-30), rel=1e-12, abs=0)
+        assert chi2_sf(75, 2) == pytest.approx(math.exp(-37.5), rel=1e-12, abs=0)
+        assert chi2_sf(50, 1) == pytest.approx(math.erfc(5), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("df", range(1, 20))
+    def test_two_more_degrees_add_one_term(self, df):
+        # Q(x, df + 2) = Q(x, df) + (x/2)^(df/2) exp(-x/2) / Gamma(df/2 + 1)
+        for x in np.linspace(0.25, 700, 400):
+            upper = chi2_sf(x, df + 2)
+            if upper <= 1e-300:
+                continue
+            term = math.exp(df / 2 * math.log(x / 2) - x / 2
+                            - math.lgamma(df / 2 + 1))
+            assert upper == pytest.approx(chi2_sf(x, df) + term, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("df", [0, -2, 2.5, math.nan, math.inf])
+    def test_df_must_be_a_positive_whole_number(self, df):
+        with pytest.raises(ConfigError, match="positive whole number"):
+            chi2_sf(3.0, df)
+
 
 class TestFriedman:
     def test_identical_ordering_example(self):

@@ -427,3 +427,28 @@ class TestSelectModels:
             assert np.array_equal(many[i].forecast(self.H, future),
                                   alone.forecast(self.H, future))
         assert isinstance(many[-1], DataError)
+
+    def test_default_pool_with_combinations_equals_one_at_a_time(self, rng):
+        # forecast's default pool: NARX and both combinations on, one fold
+        Y, Xs = self._panel(rng)
+        Y, Xs = Y[:56, [0, 1, 3]], [None, Xs[1][:56], Xs[3][:56]]
+        n = len(Y) - self.H
+        cv = CVConfig(starting_window=n - self.H, ending_window=n - self.H,
+                      horizon=self.H, step=self.H)
+        pools = [default_candidates(7, narx_seed=i) for i in range(3)]
+        assert [c.kind for c in pools[0][-2:]] == ["comb_mean", "comb_cls"]
+        many = select_models(Y[:n], [X[:n] if X is not None else None for X in Xs],
+                             pools, cv, m_season=7)
+        for i, X in enumerate(Xs):
+            head, future = (X[:n], X[n:]) if X is not None else (None, None)
+            fitted, kind, score = select_model(
+                Y[:n, i], head, default_candidates(7, narx_seed=i), cv, m_season=7)
+            m_fitted, m_kind, m_score = many[i]
+            assert (m_kind, m_score) == (kind, score)
+            assert np.array_equal(m_fitted.forecast(self.H, future),
+                                  fitted.forecast(self.H, future))
+        comb = pools[1][-1].fit(Y[:n, 1], Xs[1][:n])
+        members = np.column_stack([m.forecast(self.H, Xs[1][n:])
+                                   for m in comb.fitted_])
+        assert np.array_equal(comb.forecast(self.H, Xs[1][n:]),
+                              members @ comb.weights_)

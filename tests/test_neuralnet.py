@@ -241,7 +241,7 @@ class TestGridSearch:
         assert best_spec == spec
         assert net.history
 
-    def test_planted_optimum_with_stub_trainer(self):
+    def test_planted_optimum_with_stub_trainer(self, monkeypatch):
         specs = spec_grid(out_dim=1, exog_dim=2, window=8)
         planted = specs[13]
 
@@ -253,7 +253,8 @@ class TestGridSearch:
                 history=[(loss, loss)], best_epoch=0,
             )
 
-        best_spec, _ = grid_search(specs, None, None, trainer=stub_trainer)
+        monkeypatch.setattr(neuralnet, "train", stub_trainer)
+        best_spec, _ = grid_search(specs, None, None)
         assert best_spec == planted
 
     def test_full_grid_has_27_cells(self):

@@ -155,6 +155,31 @@ class TestTrainDisaggregate:
         for a, b in zip(n1.params, n2.params):
             assert np.array_equal(a, b)
 
+    def test_grid_search_picks_a_grid_spec(self, monkeypatch):
+        # every cell trains through neuralnet.train as looked up at call time
+        panel = fixed_share_panel(T=60)
+        cfg = tiny_cfg(train=TrainConfig(max_epochs=1, batch_size=16),
+                       arch=ArchConfig(n_conv=1, n_dense=1, grid=True))
+        kids = panel.hierarchy.bottom_ids
+        trained, train = [], neuralnet.train
+
+        def recording(spec, dataset, config):
+            trained.append(train(spec, dataset, config))
+            return trained[-1]
+
+        monkeypatch.setattr(neuralnet, "train", recording)
+        n1 = train_nnd(panel, "total", kids, cfg, end=50)
+        grid = neuralnet.spec_grid(out_dim=2, exog_dim=n1.spec.exog_dim,
+                                   window=3, n_conv=1, n_dense=1)
+        assert [net.spec for net in trained] == grid
+        assert n1.spec in grid
+        val = [net.history[net.best_epoch][1] for net in trained]
+        assert n1 is trained[val.index(min(val))]
+        n2 = train_nnd(panel, "total", kids, cfg, end=50)
+        assert n2.spec == n1.spec
+        for a, b in zip(n1.params, n2.params):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("parent", ["total", "g00"])
     def test_rows_from_end_on_do_not_reach_the_model(self, rng, parent):
         # two panels that differ only in bottom values and exog from ``end``
