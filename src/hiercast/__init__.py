@@ -1,47 +1,53 @@
 """hiercast: hierarchical time-series forecasting with classical
-reconciliation and neural-network disaggregation."""
+reconciliation and neural-network disaggregation.
+
+The public names load their module on first access (PEP 562): ``import
+hiercast`` loads no submodule, and ``hiercast.mint_reconcile`` loads
+``reconcile`` alone, not the network engine."""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, DataError, HiercastError, NumericError
-from .hierarchy import (Hierarchy, SeriesPanel, SummingMatrix, aggregate,
-                        build_summing_matrix, calendar_matrix,
-                        coherence_violation, load_hierarchy, load_panel)
-from .forecastset import ForecastSet, read_forecast_set
-from .forecasters import (Arx, CombCls, CombMean, Ets, Naive, Narx,
-                          SeasonalNaive, cls_weights, combine_mean,
-                          default_candidates, project_simplex, select_model,
-                          select_models)
-from .reconcile import (ErrorCovariance, apply_topdown, bottom_up,
-                        middle_out, mint_reconcile, proportions_ahp,
-                        proportions_fp, proportions_pha,
-                        shrinkage_covariance)
-from .evaluate import (CVConfig, EvalReport, NemenyiResult, chi2_sf,
-                       expanding_window_cv, friedman_test, mase,
-                       nemenyi_svg, nemenyi_test, smape)
-from .nnd import (ArchConfig, NndConfig, NndResult, WindowConfig,
-                  disaggregate, make_windows, raw_violation, train_nnd)
-from .synthetic import GeneratorSpec, generate, write_dataset
-from .seeding import derive_seed
+# module -> the public names it exports, in ``__all__`` order
+_EXPORTS = {
+    "errors": ("HiercastError", "ConfigError", "DataError", "NumericError"),
+    "hierarchy": ("Hierarchy", "SummingMatrix", "SeriesPanel",
+                  "build_summing_matrix", "aggregate", "coherence_violation",
+                  "calendar_matrix", "load_hierarchy", "load_panel"),
+    "forecastset": ("ForecastSet", "read_forecast_set"),
+    "forecasters": ("Naive", "SeasonalNaive", "Arx", "Ets", "Narx", "CombMean",
+                    "CombCls", "combine_mean", "cls_weights", "project_simplex",
+                    "default_candidates", "select_model", "select_models"),
+    "reconcile": ("bottom_up", "apply_topdown", "middle_out", "mint_reconcile",
+                  "proportions_ahp", "proportions_pha", "proportions_fp",
+                  "ErrorCovariance", "shrinkage_covariance"),
+    "evaluate": ("mase", "smape", "CVConfig", "expanding_window_cv",
+                 "friedman_test", "nemenyi_test", "NemenyiResult", "EvalReport",
+                 "chi2_sf", "nemenyi_svg"),
+    "nnd": ("WindowConfig", "ArchConfig", "NndConfig", "NndResult",
+            "make_windows", "train_nnd", "disaggregate", "raw_violation"),
+    "synthetic": ("GeneratorSpec", "generate", "write_dataset"),
+    "seeding": ("derive_seed",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "HiercastError", "ConfigError", "DataError", "NumericError",
-    "Hierarchy", "SummingMatrix", "SeriesPanel", "build_summing_matrix",
-    "aggregate", "coherence_violation", "calendar_matrix",
-    "load_hierarchy", "load_panel",
-    "ForecastSet", "read_forecast_set",
-    "Naive", "SeasonalNaive", "Arx", "Ets", "Narx", "CombMean", "CombCls",
-    "combine_mean", "cls_weights", "project_simplex",
-    "default_candidates", "select_model", "select_models",
-    "bottom_up", "apply_topdown", "middle_out", "mint_reconcile",
-    "proportions_ahp", "proportions_pha", "proportions_fp",
-    "ErrorCovariance", "shrinkage_covariance",
-    "mase", "smape", "CVConfig", "expanding_window_cv",
-    "friedman_test", "nemenyi_test", "NemenyiResult", "EvalReport",
-    "chi2_sf", "nemenyi_svg",
-    "WindowConfig", "ArchConfig", "NndConfig", "NndResult",
-    "make_windows", "train_nnd", "disaggregate", "raw_violation",
-    "GeneratorSpec", "generate", "write_dataset",
-    "derive_seed",
-]
+# submodules reachable as attributes, as in ``hiercast.nnd.run``
+_SUBMODULES = (*_EXPORTS, "kernels", "neuralnet")
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    """A submodule, or a public name from its module, imported now if it is
+    not yet.  Nothing is cached here, so a name rebound in its module (a
+    wrapper, a test's monkeypatch) is what this returns too."""
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -6,6 +6,10 @@ row's key ``out_dir`` is the flag ``--out-dir`` and the config-file key
 ``out_dir`` (precedence: flag > file > default).  Exit codes: 0 success,
 2 config error, 3 data error, 4 numeric failure; failures print a
 machine-readable JSON object on stderr.
+
+Only what every subcommand uses is imported here; each ``cmd_*`` imports
+the modules it runs, so ``reconcile`` and ``evaluate`` never load the
+network engine, model selection or NND.
 """
 
 import argparse
@@ -14,23 +18,18 @@ import csv
 import json
 import os
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from . import __version__, neuralnet
+from . import __version__
 from .errors import ConfigError, DataError, HiercastError, NumericError
-from .evaluate import SCORERS, Q_TABLE, CVConfig, EvalReport, nemenyi_svg
-from .forecasters import default_candidates, select_models
 from .forecastset import ForecastSet, read_forecast_set
-from .hierarchy import (build_summing_matrix, calendar_matrix,
-                        coherence_violation, format_timestamp,
-                        load_error_matrix, load_hierarchy, load_panel,
-                        timestamps_are_dates, _parse_ts)
-from .nnd import (STRATEGIES, ArchConfig, NndConfig, WindowConfig,
-                  feature_matrix, run)
-from .reconcile import METHODS, reconcile
-from .seeding import derive_seed
-from .synthetic import GeneratorSpec, write_dataset
+from .hierarchy import (Hierarchy, SeriesPanel, build_summing_matrix,
+                        calendar_matrix, coherence_violation, feature_matrix,
+                        format_timestamp, load_error_matrix, load_hierarchy,
+                        load_panel, timestamps_are_dates, write_exog,
+                        write_hierarchy, write_observations, _parse_ts)
 
 ITALIAN_URL = "https://data.mendeley.com/public-api/datasets/s8dgbs3rng/files?folder_id=root&version=1"
 
@@ -69,18 +68,21 @@ def _str_list(token):
 
 def _one_of(table, what, parse=str.lower):
     """A cast that parses a token (by default, lower-cases a name) and
-    rejects a value not in ``table``."""
+    rejects a value not in ``table``, named ``"module.NAME"``: the module
+    is imported when the cast runs, so only its subcommand loads it."""
     def cast(token):
+        module, attr = table.split(".")
+        choices = getattr(import_module(f"{__package__}.{module}"), attr)
         name = parse(token)
-        if name not in table:
+        if name not in choices:
             raise ConfigError(f"unknown {what} {name!r} "
-                              f"(choose from {', '.join(map(str, table))})")
+                              f"(choose from {', '.join(map(str, choices))})")
         return name
     return cast
 
 
 def _methods(token):
-    method = _one_of(METHODS, "reconciliation method")
+    method = _one_of("reconcile.METHODS", "reconciliation method")
     return [method(m) for m in _str_list(token)]
 
 
@@ -183,6 +185,8 @@ def _future_timestamps(panel, n_train, h):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg):
+    from .synthetic import GeneratorSpec, write_dataset
+
     spec = GeneratorSpec(
         children_per_level=cfg["children_per_level"], T=cfg["t"],
         m_season=cfg["m_season"], base_level=cfg["base_level"],
@@ -219,6 +223,10 @@ def _resolve_nodes(hier, token):
 
 
 def cmd_forecast(cfg):
+    from .evaluate import CVConfig
+    from .forecasters import default_candidates, select_models
+    from .seeding import derive_seed
+
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
     h, m_season, out = cfg["horizon"], cfg["m_season"], cfg["out"]
@@ -271,6 +279,8 @@ def cmd_forecast(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_reconcile(cfg):
+    from .reconcile import METHODS, reconcile
+
     hier, panel = _load_inputs(cfg)
     S = build_summing_matrix(hier)
     fs = read_forecast_set(_require_file(cfg["base"], "base forecast"))
@@ -299,7 +309,10 @@ def cmd_reconcile(cfg):
 # ---------------------------------------------------------------------------
 
 def _nnd_config(cfg):
-    train = neuralnet.TrainConfig(
+    from .neuralnet import TrainConfig
+    from .nnd import ArchConfig, NndConfig, WindowConfig
+
+    train = TrainConfig(
         alpha=cfg["alpha"], learning_rate=cfg["lr"],
         batch_size=cfg["batch"], max_epochs=cfg["epochs"],
         patience=cfg["patience"], validation_fraction=cfg["val_fraction"],
@@ -315,6 +328,9 @@ def _nnd_config(cfg):
 
 
 def cmd_nnd(cfg):
+    from .neuralnet import save_network
+    from .nnd import run
+
     ncfg = _nnd_config(cfg)
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
@@ -330,7 +346,7 @@ def cmd_nnd(cfg):
         values=result.values,
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
     for parent_id, net in sorted(result.models.items()):
-        neuralnet.save_network(net, os.path.join(models_dir, f"{parent_id}.net"))
+        save_network(net, os.path.join(models_dir, f"{parent_id}.net"))
     with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
         json.dump({
             "strategy": strategy,
@@ -348,6 +364,8 @@ def cmd_nnd(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(cfg):
+    from .evaluate import SCORERS, EvalReport, nemenyi_svg
+
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
     metric = cfg["metric"]
@@ -491,8 +509,6 @@ def _italian_to_panel(table):
     to the standard triplet structures.  A short row, a bad date or a
     non-numeric cell is a DataError naming the row and column; an empty
     PROMO_ cell is 0, an empty QTY_ cell is an error."""
-    from .hierarchy import Hierarchy, SeriesPanel
-
     if len(table) < 2:
         raise DataError("the Italian dataset table holds no data rows")
     header = table[0]
@@ -551,8 +567,6 @@ def _italian_to_panel(table):
 
 def cmd_fetch_italian(cfg):
     from urllib.request import urlopen
-
-    from .hierarchy import write_exog, write_hierarchy, write_observations
 
     out_dir, url = cfg["out"], cfg["url"]
     try:
@@ -634,8 +648,8 @@ COMMANDS = {
     ]),
     "nnd": (cmd_nnd, "neural-network disaggregation end to end", [
         *_INPUTS, _SPLIT,
-        ("strategy", _one_of(STRATEGIES, "NND strategy"), "nnd2"), _OUT_DIR,
-        _HORIZON, _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
+        ("strategy", _one_of("nnd.STRATEGIES", "NND strategy"), "nnd2"),
+        _OUT_DIR, _HORIZON, _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
         ("alpha", float, 0.5), ("lr", float, 0.001), ("epochs", int, 500),
         ("patience", int, 20), ("batch", int, 32),
         ("val_fraction", float, 0.1), ("hidden", int, 64),
@@ -644,10 +658,11 @@ COMMANDS = {
         ("jobs", int, 1),
     ]),
     "evaluate": (cmd_evaluate, "score forecast sets and rank methods", [
-        *_INPUTS, _SPLIT, ("metric", _one_of(SCORERS, "metric"), "mase"),
-        _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
+        *_INPUTS, _SPLIT,
+        ("metric", _one_of("evaluate.SCORERS", "metric"), "mase"), _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
         _M_SEASON,
-        ("significance", _one_of(Q_TABLE, "significance level", float), 0.05),
+        ("significance", _one_of("evaluate.Q_TABLE", "significance level", float),
+         0.05),
         ("rank_tests", _bool, True),
     ]),
     "plot": (cmd_plot, "true-vs-forecast SVG line plots", [

@@ -155,25 +155,29 @@ def chi2_sf(x, df):
     With h = x/2 it is exp(-h) * sum of h^j/j! over j < df/2 (even df), or
     erfc(sqrt(h)) + exp(-h) * sum of h^(j-1/2)/Gamma(j+1/2) over 1 <= j <=
     (df-1)/2 (odd df); each term is the one before times h/j or h/(j+1/2).
-    No term is subtracted, so a tail far below 1e-16 keeps its digits."""
+    No term is subtracted, so a tail far below 1e-16 keeps its digits.  The
+    terms are summed without the factor exp(-h), which is applied last in
+    two halves: exp(-h) alone underflows to 0 past h ~ 745, before the tail
+    does."""
     if not (df >= 1 and float(df).is_integer()):
         raise ConfigError(f"chi-square degrees of freedom must be a positive "
                           f"whole number, got {df}")
     if x <= 0:
         return 1.0
     h = x / 2.0
+    half = math.exp(-h / 2)
     if df % 2 == 0:
-        term = total = math.exp(-h)
+        term = total = 1.0
         for j in range(1, int(df) // 2):
             term *= h / j
             total += term
-        return total
-    term = 2.0 * math.exp(-h) * math.sqrt(h / math.pi)
-    total = math.erfc(math.sqrt(h))
+        return half * total * half
+    term = 2.0 * math.sqrt(h / math.pi)
+    total = 0.0
     for j in range(1, (int(df) + 1) // 2):
         total += term
         term *= h / (j + 0.5)
-    return total
+    return math.erfc(math.sqrt(h)) + half * total * half
 
 
 def friedman_test(errors):

@@ -1,4 +1,5 @@
-"""Aggregation hierarchy, summing matrix, and aligned observation panel.
+"""Aggregation hierarchy, summing matrix, aligned observation panel and its
+feature rows.
 
 All vectors and matrices in the toolkit follow the canonical node ordering:
 by level, then lexicographic node id.
@@ -297,6 +298,14 @@ class SeriesPanel:
         )
 
 
+def feature_matrix(panel: SeriesPanel, child_ids):
+    """Per-step feature rows (T, d): child exog columns in canonical child
+    order, then calendar dummies (one-hot, first category dropped)."""
+    return np.column_stack(
+        [panel.exog_for(child)[1] for child in child_ids]
+        + [calendar_matrix(panel.timestamps, panel.calendar)[1]])
+
+
 # ---------------------------------------------------------------------------
 # CSV interfaces
 # ---------------------------------------------------------------------------
@@ -394,7 +403,11 @@ def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
         except DataError as exc:
             raise DataError(f"{path}: line {stamp_lines[t]}: {exc}") from None
     if timestamps is None:
-        timestamps = np.unique(instants)
+        # the distinct instants, sorted (np.unique would import numpy.ma)
+        timestamps = np.sort(instants)
+        distinct = np.ones(len(timestamps), bool)
+        distinct[1:] = timestamps[1:] != timestamps[:-1]
+        timestamps = timestamps[distinct]
     if keys is None or callable(keys):
         keys = keys(list(key_ids)) if keys else list(key_ids)
     # each row's cell of the flat matrix; a row at another instant or with

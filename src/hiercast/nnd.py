@@ -1,6 +1,6 @@
-"""Neural-network disaggregation: windowing, feature assembly, the
-train/disaggregate two-step procedure, and the hierarchy-wide strategies
-(nnd1, nnd2 and middle-out) behind one entry point, ``run``.
+"""Neural-network disaggregation: windowing, the train/disaggregate
+two-step procedure, and the hierarchy-wide strategies (nnd1, nnd2 and
+middle-out) behind one entry point, ``run``.
 
 The network maps a lag window of a parent series plus child-level
 exogenous/calendar features to all child series at once.  Published
@@ -19,7 +19,7 @@ from .errors import ConfigError, DataError
 from .evaluate import CVConfig
 from .forecasters import Ets, Naive, SeasonalNaive, select_model
 from .hierarchy import (SeriesPanel, aggregate, build_summing_matrix,
-                        calendar_matrix)
+                        feature_matrix)
 from .seeding import derive_seed
 
 
@@ -70,14 +70,6 @@ def make_windows(series, cfg: WindowConfig):
     targets = np.arange(w - 1, len(series), cfg.hop)
     windows = sliding_window_view(series, w)[::cfg.hop].copy()
     return windows, targets
-
-
-def feature_matrix(panel: SeriesPanel, child_ids):
-    """Per-step feature rows (T, d): child exog columns in canonical child
-    order, then calendar dummies (one-hot, first category dropped)."""
-    return np.column_stack(
-        [panel.exog_for(child)[1] for child in child_ids]
-        + [calendar_matrix(panel.timestamps, panel.calendar)[1]])
 
 
 def train_nnd(panel: SeriesPanel, parent_id, child_ids, cfg: NndConfig,

@@ -189,6 +189,15 @@ class TestChi2:
         assert chi2_sf(75, 2) == pytest.approx(math.exp(-37.5), rel=1e-12, abs=0)
         assert chi2_sf(50, 1) == pytest.approx(math.erfc(5), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("x,df,exact", [
+        (1500, 19, 4.420686547e-307),
+        (1600, 39, 6.900271374e-311),      # subnormal
+        (1500, 20, 3.982564943e-306),
+    ])
+    def test_tail_past_exp_underflow(self, x, df, exact):
+        # exp(-x/2) alone is 0 here; the exact values come from mpmath
+        assert chi2_sf(x, df) == pytest.approx(exact, rel=1e-9, abs=0)
+
     @pytest.mark.parametrize("df", range(1, 20))
     def test_two_more_degrees_add_one_term(self, df):
         # Q(x, df + 2) = Q(x, df) + (x/2)^(df/2) exp(-x/2) / Gamma(df/2 + 1)

@@ -235,6 +235,22 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="missing"):
             load_panel(h, tmp_path / "obs.csv")
 
+    def test_timestamps_are_the_distinct_instants_sorted(self, tmp_path):
+        """Rows come in any order, and two spellings of one instant are one
+        timestamp whose later row wins."""
+        h = make_hierarchy((2,))
+        write_hierarchy(h, tmp_path / "h.csv")
+        (tmp_path / "obs.csv").write_text(
+            "timestamp,node_id,value\n"
+            "2020-01-03,total,9\n2020-01-03,g00,4\n2020-01-03,g01,5\n"
+            "2020-01-01T00:00:00,total,1\n2020-01-01,g00,1\n"
+            "2020-01-01,g01,0\n2020-01-01,total,3\n2020-01-01T00:00,g01,2\n"
+        )
+        panel = load_panel(h, tmp_path / "obs.csv")
+        assert panel.timestamps.tolist() == np.array(
+            ["2020-01-01", "2020-01-03"], dtype="datetime64[s]").tolist()
+        assert panel.values.tolist() == [[3, 1, 2], [9, 4, 5]]
+
     def test_forecast_rows_are_csv_writer_bytes(self, tmp_path):
         ids = ("a,b", 'say "hi"', "two\nlines", " lead", "")
         ts = np.array(["2020-01-01T06:00", "2020-01-02"], dtype="datetime64[s]")
