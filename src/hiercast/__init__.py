@@ -1,11 +1,17 @@
 """hiercast: hierarchical time-series forecasting with classical
 reconciliation and neural-network disaggregation.
 
-The public names load their module on first access (PEP 562): ``import
-hiercast`` loads no submodule, and ``hiercast.mint_reconcile`` loads
-``reconcile`` alone, not the network engine."""
+``import hiercast`` runs the code of no submodule.  Each submodule but
+``cli`` is registered in ``sys.modules`` and as an attribute of the package
+by ``importlib.util.LazyLoader``: the same module object, whose code runs
+on the first attribute access or import of it.  The public names resolve
+through their module on first access (PEP 562), so
+``hiercast.mint_reconcile`` runs ``reconcile`` alone, not the network
+engine.  Code that lists the loaded modules (a tracer, a monkeypatch)
+sees every submodule from the start."""
 
-from importlib import import_module as _import_module
+import importlib.util as _util
+import sys as _sys
 
 __version__ = "0.1.0"
 
@@ -32,22 +38,35 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# submodules reachable as attributes, as in ``hiercast.nnd.run``
-_SUBMODULES = (*_EXPORTS, "kernels", "neuralnet")
-
 __all__ = ["__version__", *_HOME]
 
 
+def _register_lazy(name):
+    """Put submodule ``name`` in ``sys.modules`` and on the package without
+    running its code (the recipe of the ``importlib`` documentation)."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    spec.loader = _util.LazyLoader(spec.loader)
+    module = _util.module_from_spec(spec)
+    _sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+# ``cli`` is left out: ``python -m hiercast.cli`` runs it as ``__main__``,
+# and runpy warns when that module is in ``sys.modules`` already
+for _name in (*_EXPORTS, "kernels", "neuralnet"):
+    _register_lazy(_name)
+del _name
+
+
 def __getattr__(name):
-    """A submodule, or a public name from its module, imported now if it is
-    not yet.  Nothing is cached here, so a name rebound in its module (a
-    wrapper, a test's monkeypatch) is what this returns too."""
-    if name in _SUBMODULES:
-        return _import_module(f"{__name__}.{name}")
+    """A public name from its module.  Nothing is cached here, so a name
+    rebound in its module (a wrapper, a test's monkeypatch) is what this
+    returns too."""
     if name in _HOME:
-        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+        return getattr(globals()[_HOME[name]], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *__all__})

@@ -648,8 +648,8 @@ COMMANDS = {
     ]),
     "nnd": (cmd_nnd, "neural-network disaggregation end to end", [
         *_INPUTS, _SPLIT,
-        ("strategy", _one_of("nnd.STRATEGIES", "NND strategy"), "nnd2"),
-        _OUT_DIR, _HORIZON, _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
+        ("strategy", _one_of("nnd.STRATEGIES", "NND strategy"), "nnd2"), _OUT_DIR,
+        _HORIZON, _M_SEASON, _MIDDLE_LEVEL, ("window", int, 30), ("hop", int, 1),
         ("alpha", float, 0.5), ("lr", float, 0.001), ("epochs", int, 500),
         ("patience", int, 20), ("batch", int, 32),
         ("val_fraction", float, 0.1), ("hidden", int, 64),
@@ -658,8 +658,8 @@ COMMANDS = {
         ("jobs", int, 1),
     ]),
     "evaluate": (cmd_evaluate, "score forecast sets and rank methods", [
-        *_INPUTS, _SPLIT,
-        ("metric", _one_of("evaluate.SCORERS", "metric"), "mase"), _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
+        *_INPUTS, _SPLIT, ("metric", _one_of("evaluate.SCORERS", "metric"), "mase"),
+        _OUT_DIR, ("forecasts", _str_list, REQUIRED), ("horizon", int, None),
         _M_SEASON,
         ("significance", _one_of("evaluate.Q_TABLE", "significance level", float),
          0.05),

@@ -149,35 +149,52 @@ def _average_ranks(row):
     return ranks
 
 
+def _damped_sum(term, ratios, damp, left):
+    """term + term*r1 + term*r1*r2 + ... times damp**left, where one factor
+    damp is applied each time the running sum passes 1 while any is left
+    and the rest at the end, so the sum stays below 1 + max(ratios)."""
+    total = term
+    for ratio in ratios:
+        term *= ratio
+        total += term
+        if total > 1.0 and left:
+            term *= damp
+            total *= damp
+            left -= 1
+    for _ in range(left):
+        total *= damp
+    return total
+
+
 def chi2_sf(x, df):
     """Survival function of the chi-square distribution for a positive
     whole number df, as the finite sum of Abramowitz & Stegun 26.4.4-5.
     With h = x/2 it is exp(-h) * sum of h^j/j! over j < df/2 (even df), or
     erfc(sqrt(h)) + exp(-h) * sum of h^(j-1/2)/Gamma(j+1/2) over 1 <= j <=
     (df-1)/2 (odd df); each term is the one before times h/j or h/(j+1/2).
-    No term is subtracted, so a tail far below 1e-16 keeps its digits.  The
-    terms are summed without the factor exp(-h), which is applied last in
-    two halves: exp(-h) alone underflows to 0 past h ~ 745, before the tail
-    does."""
+    No term is subtracted, so a tail far below 1e-16 keeps its digits.
+
+    exp(-h) underflows to 0 past h ~ 745, before the tail does, so it is
+    applied as ``steps`` equal factors exp(-h/steps) >= exp(-700): one
+    multiplies the first term, the others are applied by ``_damped_sum``.
+    ``steps`` is a power of two, so h/steps is exact; below h = 700 it is
+    1, the one factor at the start."""
     if not (df >= 1 and float(df).is_integer()):
         raise ConfigError(f"chi-square degrees of freedom must be a positive "
                           f"whole number, got {df}")
     if x <= 0:
         return 1.0
     h = x / 2.0
-    half = math.exp(-h / 2)
+    steps = 2 ** max(0, math.frexp(h / 700.0)[1])
+    damp = math.exp(-h / steps)
     if df % 2 == 0:
-        term = total = 1.0
-        for j in range(1, int(df) // 2):
-            term *= h / j
-            total += term
-        return half * total * half
-    term = 2.0 * math.sqrt(h / math.pi)
-    total = 0.0
-    for j in range(1, (int(df) + 1) // 2):
-        total += term
-        term *= h / (j + 0.5)
-    return math.erfc(math.sqrt(h)) + half * total * half
+        return _damped_sum(damp, [h / j for j in range(1, int(df) // 2)],
+                           damp, steps - 1)
+    n = (int(df) - 1) // 2
+    series = _damped_sum(2.0 * damp * math.sqrt(h / math.pi),
+                         [h / (j + 0.5) for j in range(1, n)],
+                         damp, steps - 1) if n else 0.0
+    return math.erfc(math.sqrt(h)) + series
 
 
 def friedman_test(errors):

@@ -198,6 +198,19 @@ class TestChi2:
         # exp(-x/2) alone is 0 here; the exact values come from mpmath
         assert chi2_sf(x, df) == pytest.approx(exact, rel=1e-9, abs=0)
 
+    @pytest.mark.parametrize("x,df,exact", [
+        (1440, 1440, 0.4950440615559591),
+        (1440, 1300, 0.0038403909710808116),
+        (3000, 3000, 0.49656643883965135),
+        (6000, 6001, 0.5012139887828931),
+        (1e6, 1e6, 0.4998119368033945),
+        (4000, 460, 0.0),                  # below the smallest double
+    ])
+    def test_large_x_and_df_stay_in_range(self, x, df, exact):
+        # the partial sums h^j/j! reach e^h, past the largest double once
+        # h > 709; the exact values come from mpmath
+        assert chi2_sf(x, df) == pytest.approx(exact, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("df", range(1, 20))
     def test_two_more_degrees_add_one_term(self, df):
         # Q(x, df + 2) = Q(x, df) + (x/2)^(df/2) exp(-x/2) / Gamma(df/2 + 1)

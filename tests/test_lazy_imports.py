@@ -2,7 +2,7 @@
 
 Every test runs its code in a fresh interpreter, so a module that this
 test session already imported cannot hide one that the code under test
-would load.
+would load.  A module counts as loaded once its code has run.
 """
 
 import json
@@ -39,12 +39,16 @@ def fresh(code, *args):
 
 
 def loaded_after(code, *args):
-    """The hiercast modules, and those of ``HEAVY``, loaded once ``code``
-    has run in a fresh interpreter."""
+    """The hiercast modules, and those of ``HEAVY``, whose code has run once
+    ``code`` has run in a fresh interpreter.  ``import hiercast`` puts each
+    submodule in ``sys.modules`` as a LazyLoader module, whose type is a
+    subclass of ``ModuleType`` until its code runs."""
     return fresh(textwrap.dedent(code) + textwrap.dedent(f"""
-        import json, sys
-        print(json.dumps(sorted(m for m in sys.modules
-                                if m.startswith("hiercast") or m in {HEAVY})))
+        import json, sys, types
+        print(json.dumps(sorted(
+            m for m, mod in sys.modules.items()
+            if (m.startswith("hiercast") or m in {HEAVY})
+            and type(mod) is types.ModuleType)))
     """), *args)
 
 
@@ -114,6 +118,33 @@ def test_config_error_loads_no_model_code(argv, table):
 
 def test_import_loads_no_submodule():
     assert loaded_after("import hiercast") == ["hiercast"]
+
+
+def test_submodules_are_listed_before_their_code_runs(panel_dir, tmp_path):
+    """``import hiercast.cli`` puts in ``sys.modules`` every module that any
+    subcommand loads, as the objects that later hold its functions, so code
+    that lists the loaded modules then (a tracer that wraps functions in
+    place) reaches them all."""
+    out = fresh("""
+        import json, sys
+        import hiercast.cli as cli
+        listed = {m: mod for m, mod in sys.modules.items()
+                  if m.startswith("hiercast")}
+        d, out = sys.argv[1:]
+        assert cli.main(["nnd", "--hierarchy", d + "/hierarchy.csv",
+                         "--observations", d + "/observations.csv",
+                         "--split", "100", "--out-dir", out,
+                         "--epochs", "1", "--window", "7"]) == 0
+        assert cli.main(["synth", "--out", out + "/synth", "--t", "30"]) == 0
+        now = {m: mod for m, mod in sys.modules.items() if m.startswith("hiercast")}
+        print(json.dumps({"listed": sorted(listed), "added": sorted(set(now) - set(listed)),
+                          "replaced": sorted(m for m in listed if now[m] is not listed[m]),
+                          "nnd_run": hasattr(listed["hiercast.nnd"], "run")}))
+    """, str(panel_dir), str(tmp_path / "nnd"))
+    assert out["listed"] == ["hiercast", *(f"hiercast.{m}" for m in sorted(
+        ["cli", "errors", "evaluate", "forecasters", "forecastset", "hierarchy",
+         "kernels", "neuralnet", "nnd", "reconcile", "seeding", "synthetic"]))]
+    assert out["added"] == [] and out["replaced"] == [] and out["nnd_run"]
 
 
 def test_every_public_name_resolves():
