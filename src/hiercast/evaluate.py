@@ -178,23 +178,26 @@ def chi2_sf(x, df):
     applied as ``steps`` equal factors exp(-h/steps) >= exp(-700): one
     multiplies the first term, the others are applied by ``_damped_sum``.
     ``steps`` is a power of two, so h/steps is exact; below h = 700 it is
-    1, the one factor at the start."""
+    1, the one factor at the start.  Rounding can lift the sum past 1 by a
+    few units in the last place, so it is capped there (a nan stays nan)."""
     if not (df >= 1 and float(df).is_integer()):
         raise ConfigError(f"chi-square degrees of freedom must be a positive "
                           f"whole number, got {df}")
     if x <= 0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     h = x / 2.0
     steps = 2 ** max(0, math.frexp(h / 700.0)[1])
     damp = math.exp(-h / steps)
     if df % 2 == 0:
-        return _damped_sum(damp, [h / j for j in range(1, int(df) // 2)],
-                           damp, steps - 1)
+        return min(_damped_sum(damp, [h / j for j in range(1, int(df) // 2)],
+                               damp, steps - 1), 1.0)
     n = (int(df) - 1) // 2
     series = _damped_sum(2.0 * damp * math.sqrt(h / math.pi),
                          [h / (j + 0.5) for j in range(1, n)],
                          damp, steps - 1) if n else 0.0
-    return math.erfc(math.sqrt(h)) + series
+    return min(math.erfc(math.sqrt(h)) + series, 1.0)
 
 
 def friedman_test(errors):

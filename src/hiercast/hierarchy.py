@@ -7,10 +7,14 @@ by level, then lexicographic node id.
 
 import csv
 import io
+import os
+import zipfile
+import zlib
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
+from stat import S_ISREG
 
 import numpy as np
 
@@ -347,21 +351,10 @@ def load_hierarchy(path) -> Hierarchy:
     return Hierarchy.from_nodes(nodes)
 
 
-def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
-    """Read a long-format CSV straight into its matrix.
-
-    The file has a ``timestamp`` column, the key ``columns`` and a numeric
-    ``value`` column, in any order; other columns are ignored.  Returns
-    ``(timestamps, keys, matrix)`` with ``matrix[t, j]`` the value at
-    ``timestamps[t]`` for ``keys[j]``: a node id for one key column, a tuple
-    of cells for several.  ``timestamps`` defaults to the file's distinct
-    instants, sorted, and ``keys`` to the file's keys in first appearance
-    (or is a function of those).  Rows at other instants or with other keys
-    are ignored; when a cell repeats, the later row wins.  Each distinct
-    timestamp is parsed once.  A short row or a cell that does not parse is
-    a DataError naming the file and line; a missing cell, one naming its
-    key and timestamp.
-    """
+def _parse_long_csv(path, columns, value):
+    """The row parse of :func:`read_long_csv`: the file's distinct instants,
+    in first appearance; its keys, in first appearance; and each row's
+    instant id, key id and value, as arrays."""
     expected = ",".join(("timestamp", *columns, value))
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -402,6 +395,105 @@ def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
             instants[t] = _parse_ts(stamp)
         except DataError as exc:
             raise DataError(f"{path}: line {stamp_lines[t]}: {exc}") from None
+    return (instants, list(key_ids), np.asarray(row_stamp), np.asarray(row_key),
+            np.asarray(row_value))
+
+
+# The parse of a long-format CSV is kept in CACHE_DIR next to it, one .npz
+# entry per file, tagged with the file's size and checksums, the reader's
+# arguments and _CACHE_FORMAT; an entry is only used when its tag matches.
+CACHE_DIR = ".hiercast-cache"
+_CACHE_FORMAT = 1
+
+
+def _checksums(path):
+    """The file's size, CRC-32 and Adler-32, read in chunks."""
+    size, crc, adler = 0, 0, 1
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            size += len(chunk)
+            crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+    return size, crc, adler
+
+
+def _keys_from(cells, n_columns):
+    """The keys as the parse gives them, from their (keys, columns) cells."""
+    cells = cells.tolist()
+    return [c[0] for c in cells] if n_columns == 1 else list(map(tuple, cells))
+
+
+def _cached_parse(path, columns, value):
+    """:func:`_parse_long_csv` of ``path``, from its cache entry when the
+    entry's tag matches, else parsed and then stored."""
+    try:
+        seen = os.stat(path)
+        tag = [str(_CACHE_FORMAT), *map(str, _checksums(path)), *columns,
+               value] if S_ISREG(seen.st_mode) else None
+    except OSError:
+        tag = None
+    if tag is None:
+        return _parse_long_csv(path, columns, value)
+    entry = os.path.join(os.path.dirname(path), CACHE_DIR,
+                         os.path.basename(path) + ".npz")
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            if z["tag"].tolist() == tag:
+                return (z["instants"], _keys_from(z["keys"], len(columns)),
+                        z["row_stamp"], z["row_key"], z["row_value"])
+    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        pass
+    parsed = _parse_long_csv(path, columns, value)
+    instants, keys, row_stamp, row_key, row_value = parsed
+    cells = np.array(keys, dtype=str).reshape(len(keys), len(columns))
+    if _keys_from(cells, len(columns)) == keys:     # numpy drops trailing NULs
+        _store(path, seen, entry, dict(
+            tag=np.array(tag), instants=instants, keys=cells,
+            row_stamp=row_stamp, row_key=row_key, row_value=row_value))
+    return parsed
+
+
+def _store(path, seen, entry, arrays):
+    """Write the named ``arrays`` as the .npz ``entry``: a temporary file
+    renamed into place.  zipfile dates each member 1980-01-01 rather than
+    now, so equal arrays give equal bytes.  The write is skipped when
+    ``path`` changed since its stat was ``seen``, and on any OSError (a
+    read-only directory, a full disk)."""
+    tmp = f"{entry}.{os.getpid()}.tmp"
+    try:
+        now = os.stat(path)
+        if (now.st_size, now.st_mtime_ns) != (seen.st_size, seen.st_mtime_ns):
+            return
+        os.makedirs(os.path.dirname(entry), exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, entry)
+    except OSError:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+
+
+def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
+    """Read a long-format CSV straight into its matrix.
+
+    The file has a ``timestamp`` column, the key ``columns`` and a numeric
+    ``value`` column, in any order; other columns are ignored.  Returns
+    ``(timestamps, keys, matrix)`` with ``matrix[t, j]`` the value at
+    ``timestamps[t]`` for ``keys[j]``: a node id for one key column, a tuple
+    of cells for several.  ``timestamps`` defaults to the file's distinct
+    instants, sorted, and ``keys`` to the file's keys in first appearance
+    (or is a function of those).  Rows at other instants or with other keys
+    are ignored; when a cell repeats, the later row wins.  Each distinct
+    timestamp is parsed once.  A short row or a cell that does not parse is
+    a DataError naming the file and line; a missing cell, one naming its
+    key and timestamp.
+
+    The row parse is cached in ``CACHE_DIR`` next to the file, so a later
+    read of the same bytes skips it; the results are the same either way.
+    """
+    instants, file_keys, row_stamp, row_key, row_value = _cached_parse(
+        path, columns, value)
     if timestamps is None:
         # the distinct instants, sorted (np.unique would import numpy.ma)
         timestamps = np.sort(instants)
@@ -409,14 +501,14 @@ def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
         distinct[1:] = timestamps[1:] != timestamps[:-1]
         timestamps = timestamps[distinct]
     if keys is None or callable(keys):
-        keys = keys(list(key_ids)) if keys else list(key_ids)
+        keys = keys(list(file_keys)) if keys else file_keys
     # each row's cell of the flat matrix; a row at another instant or with
     # another key goes to a spare cell past its end
     row_at = {ts: t for t, ts in enumerate(timestamps.view("int64").tolist())}
     col_at = {key: j for j, key in enumerate(keys)}
     cell = np.array([row_at.get(ts, -1) for ts in instants.view("int64").tolist()], int)
-    cell = cell[np.asarray(row_stamp)]
-    col = np.array([col_at.get(key, -1) for key in key_ids], int)[np.asarray(row_key)]
+    cell = cell[row_stamp]
+    col = np.array([col_at.get(key, -1) for key in file_keys], int)[row_key]
     outside = (cell < 0) | (col < 0)
     cell *= len(keys)
     cell += col
@@ -428,7 +520,7 @@ def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
         t, j = divmod(int(np.argmax(last[:size] < 0)), len(keys))
         key = keys[j] if isinstance(keys[j], str) else ", ".join(keys[j])
         raise DataError(f"{path}: missing {what} for {key} at {timestamps[t]}")
-    matrix = np.asarray(row_value)[last[:size]].reshape(len(timestamps), len(keys))
+    matrix = row_value[last[:size]].reshape(len(timestamps), len(keys))
     return timestamps, keys, matrix
 
 

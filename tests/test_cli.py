@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -750,6 +751,34 @@ class TestNndCommand:
             "diagnostics.json", "forecasts.csv", "models/g00.net",
             "models/g01.net", "models/total.net"]
         assert outputs["2"] == outputs["1"]
+
+    def test_blas_threads_do_not_change_output_bytes(self, tmp_path):
+        """The thread count is set for the child processes only; at this
+        size OpenBLAS splits the dense products across two threads."""
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def hiercast(*argv, threads="1"):
+            subprocess.run([sys.executable, "-m", "hiercast.cli", *argv],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True)
+
+        data = tmp_path / "data"
+        hiercast("synth", "--out", str(data), "--children-per-level", "3,4",
+                 "--t", "400", "--seed", "5")
+        digests = {}
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            hiercast("nnd", "--strategy", "nnd2",
+                     "--hierarchy", str(data / "hierarchy.csv"),
+                     "--observations", str(data / "observations.csv"),
+                     "--split", "372", "--horizon", "28", "--epochs", "4",
+                     "--seed", "5", "--out-dir", str(out_dir), threads=threads)
+            digests[threads] = [
+                hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in ("forecasts.csv", "diagnostics.json")]
+        assert digests["2"] == digests["1"]
 
 
 @pytest.mark.parametrize("command", ["forecast", "nnd"])

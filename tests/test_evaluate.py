@@ -211,6 +211,15 @@ class TestChi2:
         # h > 709; the exact values come from mpmath
         assert chi2_sf(x, df) == pytest.approx(exact, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("df", [1, 2, 3, 40])
+    def test_infinite_statistic_has_tail_zero(self, df):
+        assert chi2_sf(math.inf, df) == 0.0
+
+    def test_never_above_one(self):
+        # the rounded terms of a small x against a large df sum past 1
+        assert max(chi2_sf(x / 10, 40) for x in range(1, 400)) == 1.0
+        assert max(chi2_sf(x / 10, 41) for x in range(1, 400)) == 1.0
+
     @pytest.mark.parametrize("df", range(1, 20))
     def test_two_more_degrees_add_one_term(self, df):
         # Q(x, df + 2) = Q(x, df) + (x/2)^(df/2) exp(-x/2) / Gamma(df/2 + 1)
