@@ -142,6 +142,8 @@ def settings(args, rows):
 def _require_file(path, role):
     if not os.path.exists(path):
         raise ConfigError(f"{role} file not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"{role} file is a directory: {path}")
     return path
 
 
@@ -268,7 +270,7 @@ def cmd_forecast(cfg):
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     fs.write_csv(out)
     meta_path = os.path.splitext(out)[0] + "_models.json"
-    with open(meta_path, "w") as fh:
+    with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(chosen, fh, indent=2, sort_keys=True)
     print(f"wrote base forecasts for {len(nodes)} nodes to {out}")
     return 0
@@ -347,7 +349,7 @@ def cmd_nnd(cfg):
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
     for parent_id, net in sorted(result.models.items()):
         save_network(net, os.path.join(models_dir, f"{parent_id}.net"))
-    with open(os.path.join(out_dir, "diagnostics.json"), "w") as fh:
+    with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
         json.dump({
             "strategy": strategy,
             "seed": ncfg.seed,
@@ -408,12 +410,12 @@ def cmd_evaluate(cfg):
         report.run_rank_tests(cfg["significance"])
 
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
+    with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     if report.nemenyi is not None:
-        with open(os.path.join(out_dir, "nemenyi.svg"), "w") as fh:
+        with open(os.path.join(out_dir, "nemenyi.svg"), "w", encoding="utf-8") as fh:
             fh.write(nemenyi_svg(report.nemenyi))
     print(f"evaluated {len(methods)} method(s) on {len(report.series_scores)} "
           f"series; report in {out_dir}")
@@ -494,7 +496,8 @@ def cmd_plot(cfg):
             [("actual", actual, False),
              (fs.method, pad, True)],
         )
-        with open(os.path.join(out_dir, f"plot_{node_id}.svg"), "w") as fh:
+        with open(os.path.join(out_dir, f"plot_{node_id}.svg"), "w",
+                  encoding="utf-8") as fh:
             fh.write(svg)
     print(f"wrote {len(nodes)} plot(s) to {out_dir}")
     return 0

@@ -38,8 +38,8 @@ class ForecastSet:
             raise DataError(f"no forecast for node {node_id!r}") from None
 
     def write_csv(self, path):
-        _write_long(path, ["timestamp", "node_id", "forecast", "method"],
-                    self.timestamps, self.node_ids, self.values, (self.method,))
+        _write_long(path, ("node_id", "method"), "forecast", self.timestamps,
+                    self.node_ids, self.values, (self.method,))
 
 
 def read_forecast_set(path) -> ForecastSet:

@@ -11,8 +11,10 @@ import os
 import zipfile
 import zlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from stat import S_ISREG
 
@@ -334,9 +336,20 @@ def timestamps_are_dates(timestamps):
     return bool(np.all(ts == ts.astype("datetime64[D]").astype("datetime64[s]")))
 
 
+@contextmanager
+def _open_csv(path):
+    """``path`` opened as UTF-8 text for csv (a leading BOM is skipped);
+    bytes that are not UTF-8 are a DataError naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_hierarchy(path) -> Hierarchy:
     """Read a hierarchy CSV with header node_id,parent_id,level."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
         required = {"node_id", "parent_id", "level"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
@@ -344,6 +357,8 @@ def load_hierarchy(path) -> Hierarchy:
         try:
             nodes = [(row["node_id"], row["parent_id"], int(row["level"]))
                      for row in reader]
+        except UnicodeDecodeError:      # the file's fault, not the line's
+            raise
         except (TypeError, ValueError) as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not nodes:
@@ -356,7 +371,7 @@ def _parse_long_csv(path, columns, value):
     in first appearance; its keys, in first appearance; and each row's
     instant id, key id and value, as arrays."""
     expected = ",".join(("timestamp", *columns, value))
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if value == "error" and value not in header:
@@ -402,6 +417,7 @@ def _parse_long_csv(path, columns, value):
 # The parse of a long-format CSV is kept in CACHE_DIR next to it, one .npz
 # entry per file, tagged with the file's size and checksums, the reader's
 # arguments and _CACHE_FORMAT; an entry is only used when its tag matches.
+# The first read of a file stores its entry, and so does _write_long.
 CACHE_DIR = ".hiercast-cache"
 _CACHE_FORMAT = 1
 
@@ -416,6 +432,15 @@ def _checksums(path):
     return size, crc, adler
 
 
+def _tag(sums, columns, value):
+    return [str(_CACHE_FORMAT), *map(str, sums), *columns, value]
+
+
+def _entry(path):
+    return os.path.join(os.path.dirname(path), CACHE_DIR,
+                        os.path.basename(path) + ".npz")
+
+
 def _keys_from(cells, n_columns):
     """The keys as the parse gives them, from their (keys, columns) cells."""
     cells = cells.tolist()
@@ -427,37 +452,36 @@ def _cached_parse(path, columns, value):
     entry's tag matches, else parsed and then stored."""
     try:
         seen = os.stat(path)
-        tag = [str(_CACHE_FORMAT), *map(str, _checksums(path)), *columns,
-               value] if S_ISREG(seen.st_mode) else None
+        sums = _checksums(path) if S_ISREG(seen.st_mode) else None
     except OSError:
-        tag = None
-    if tag is None:
+        sums = None
+    if sums is None:
         return _parse_long_csv(path, columns, value)
-    entry = os.path.join(os.path.dirname(path), CACHE_DIR,
-                         os.path.basename(path) + ".npz")
     try:
-        with np.load(entry, allow_pickle=False) as z:
-            if z["tag"].tolist() == tag:
+        with np.load(_entry(path), allow_pickle=False) as z:
+            if z["tag"].tolist() == _tag(sums, columns, value):
                 return (z["instants"], _keys_from(z["keys"], len(columns)),
                         z["row_stamp"], z["row_key"], z["row_value"])
     except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
         pass
     parsed = _parse_long_csv(path, columns, value)
-    instants, keys, row_stamp, row_key, row_value = parsed
-    cells = np.array(keys, dtype=str).reshape(len(keys), len(columns))
-    if _keys_from(cells, len(columns)) == keys:     # numpy drops trailing NULs
-        _store(path, seen, entry, dict(
-            tag=np.array(tag), instants=instants, keys=cells,
-            row_stamp=row_stamp, row_key=row_key, row_value=row_value))
+    _store(path, seen, sums, columns, value, parsed)
     return parsed
 
 
-def _store(path, seen, entry, arrays):
-    """Write the named ``arrays`` as the .npz ``entry``: a temporary file
-    renamed into place.  zipfile dates each member 1980-01-01 rather than
-    now, so equal arrays give equal bytes.  The write is skipped when
-    ``path`` changed since its stat was ``seen``, and on any OSError (a
-    read-only directory, a full disk)."""
+def _store(path, seen, sums, columns, value, parsed):
+    """Write the ``parsed`` rows of ``path`` as its .npz entry, tagged with
+    its checksums ``sums`` and the reader's ``columns`` and ``value``: a
+    temporary file renamed into place.  zipfile dates each member 1980-01-01
+    rather than now, so equal arrays give equal bytes.  The write is skipped
+    when numpy cannot hold a key, when ``path`` changed since its stat was
+    ``seen``, and on any OSError (a read-only directory, a full disk).  The
+    directory's entries whose CSV is gone are removed with it."""
+    instants, keys, row_stamp, row_key, row_value = parsed
+    cells = np.array(keys, dtype=str).reshape(len(keys), len(columns))
+    if _keys_from(cells, len(columns)) != keys:     # numpy drops trailing NULs
+        return
+    entry = _entry(path)
     tmp = f"{entry}.{os.getpid()}.tmp"
     try:
         now = os.stat(path)
@@ -465,13 +489,27 @@ def _store(path, seen, entry, arrays):
             return
         os.makedirs(os.path.dirname(entry), exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            np.savez(fh, tag=np.array(_tag(sums, columns, value)),
+                     instants=instants, keys=cells, row_stamp=row_stamp,
+                     row_key=row_key, row_value=row_value)
         os.replace(tmp, entry)
+        _prune(os.path.dirname(entry))
     except OSError:
         try:
             os.remove(tmp)
         except OSError:
             pass
+
+
+def _prune(cache_dir):
+    """Remove the entries in ``cache_dir`` whose CSV no longer exists."""
+    home = os.path.dirname(cache_dir)
+    for name in os.listdir(cache_dir):
+        if name.endswith(".npz") and not os.path.exists(os.path.join(home, name[:-4])):
+            try:
+                os.remove(os.path.join(cache_dir, name))
+            except OSError:
+                pass
 
 
 def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
@@ -553,7 +591,7 @@ def load_panel(hierarchy, obs_path, exog_path=None,
 
 
 def write_hierarchy(hierarchy, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node_id", "parent_id", "level"])
         for node_id, parent_id, level in zip(
@@ -569,27 +607,57 @@ def _csv_cell(text):
     return out.getvalue()[:-3]      # drop the empty cell and the line end
 
 
-def _write_long(path, header, timestamps, node_ids, values, suffix=()):
-    """One ``stamp,node,repr(value),*suffix`` row per (timestamp, node), the
-    bytes csv.writer would write, with one write per timestamp."""
+def _write_long(path, columns, value, timestamps, node_ids, values, suffix=()):
+    """The long-format file that ``read_long_csv(path, columns, value, ...)``
+    reads: the header ``timestamp,columns[0],value,*columns[1:]``, then one
+    ``stamp,node,repr(value),*suffix`` row per (timestamp, node), the bytes
+    csv.writer would write, in UTF-8, with one write per timestamp.
+
+    The file's parse-cache entry is stored as the first read would store it,
+    from the arrays in hand and the checksums of the bytes written.  It is
+    left out, and the first read parses the file, when the parse could give
+    other arrays: a stamp or key that repeats, a value that is not finite
+    (``float(repr(nan))`` need not keep the NaN's bits), a stamp that does
+    not parse back, or no rows."""
     date_only = timestamps_are_dates(timestamps)
+    stamps = [format_timestamp(ts, date_only) for ts in timestamps]
     cells = [_csv_cell(n) for n in node_ids]
     end = "".join("," + _csv_cell(s) for s in suffix) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for ts, row in zip(timestamps, values.tolist()):
-            stamp = format_timestamp(ts, date_only)
-            fh.write("".join([f"{stamp},{c},{v!r}{end}" for c, v in zip(cells, row)]))
+    header = ",".join(("timestamp", columns[0], value, *columns[1:])) + "\r\n"
+    rows = ("".join([f"{stamp},{c},{v!r}{end}" for c, v in zip(cells, row)])
+            for stamp, row in zip(stamps, values.tolist()))
+    size, crc, adler = 0, 0, 1
+    with open(path, "wb") as fh:
+        for text in chain([header], rows):
+            data = text.encode("utf-8")
+            fh.write(data)
+            size += len(data)
+            crc, adler = zlib.crc32(data, crc), zlib.adler32(data, adler)
+    keys = [(n, *suffix) for n in node_ids] if len(columns) > 1 else list(node_ids)
+    row_value = np.asarray(values, dtype=float).ravel()
+    if not (row_value.size and len(set(stamps)) == len(stamps)
+            and len(set(keys)) == len(keys) and np.isfinite(row_value).all()):
+        return
+    try:
+        instants = np.array([_parse_ts(s) for s in stamps], dtype="datetime64[s]")
+        seen = os.stat(path)
+    except (DataError, OSError):        # a NaT stamp; the file is gone
+        return
+    if S_ISREG(seen.st_mode):
+        T, M = len(stamps), len(keys)
+        _store(path, seen, (size, crc, adler), columns, value, (
+            instants, keys, np.repeat(np.arange(T, dtype="l"), M),
+            np.tile(np.arange(M, dtype="l"), T), row_value))
 
 
 def write_observations(panel, path):
-    _write_long(path, ["timestamp", "node_id", "value"], panel.timestamps,
+    _write_long(path, ("node_id",), "value", panel.timestamps,
                 panel.hierarchy.node_ids, panel.values)
 
 
 def write_exog(panel, path):
     date_only = timestamps_are_dates(panel.timestamps)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["timestamp", "node_id", "variable", "value"])
         for node_id in sorted(panel.exog):

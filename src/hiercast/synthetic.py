@@ -167,6 +167,6 @@ def write_dataset(spec: GeneratorSpec, outdir):
     write_observations(panel, os.path.join(outdir, "observations.csv"))
     if panel.exog:
         write_exog(panel, os.path.join(outdir, "exog.csv"))
-    with open(os.path.join(outdir, "truth.json"), "w") as fh:
+    with open(os.path.join(outdir, "truth.json"), "w", encoding="utf-8") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
     return hier, panel, truth

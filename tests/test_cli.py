@@ -146,6 +146,61 @@ class TestForecast:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "ARX fitted with exog needs future exog values"
 
+    def test_non_ascii_node_ids_under_an_ascii_locale(self, tmp_path):
+        """Files are written as UTF-8 whatever the locale's encoding."""
+        hier = Hierarchy.from_nodes([("total", None, 0), ("Bern", "total", 1),
+                                     ("Zürich", "total", 1)])
+        t = np.arange(120)
+        bottom = np.column_stack([10 + np.sin(2 * np.pi * t / 7),
+                                  20 + np.cos(2 * np.pi * t / 7)])
+        write_hierarchy(hier, tmp_path / "hierarchy.csv")
+        write_observations(panel_from_bottom(hier, bottom),
+                           tmp_path / "observations.csv")
+        out = tmp_path / "base.csv"
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([
+            sys.executable, "-m", "hiercast.cli", "forecast",
+            "--hierarchy", str(tmp_path / "hierarchy.csv"),
+            "--observations", str(tmp_path / "observations.csv"),
+            "--split", "100", "--horizon", "7", "--out", str(out),
+            "--include-narx", "false", "--include-combinations", "false",
+        ], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert read_forecast_set(out).node_ids == ("total", "Bern", "Zürich")
+
+    @pytest.mark.parametrize("role", ["hierarchy", "observations"])
+    def test_input_that_is_a_directory_is_config_error(self, dataset, tmp_path,
+                                                       capsys, role):
+        inputs = {"hierarchy": dataset / "hierarchy.csv",
+                  "observations": dataset / "observations.csv", role: tmp_path}
+        code = main([
+            "forecast", "--hierarchy", str(inputs["hierarchy"]),
+            "--observations", str(inputs["observations"]),
+            "--split", "100", "--out", str(tmp_path / "base.csv"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+        assert err["message"] == f"{role} file is a directory: {tmp_path}"
+
+    @pytest.mark.parametrize("name", ["hierarchy.csv", "observations.csv"])
+    def test_input_that_is_not_utf8_is_data_error(self, dataset, tmp_path,
+                                                  capsys, name):
+        for each in ("hierarchy.csv", "observations.csv"):
+            text = (dataset / each).read_bytes()
+            if each == name:
+                text = text.replace(b"\n", b"\n\xff", 1)
+            (tmp_path / each).write_bytes(text)
+        code = run_forecast(tmp_path, tmp_path / "base.csv")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["exit_code"]) == ("DataError", 3)
+        assert err["message"] == (f"{tmp_path / name}: not UTF-8 text "
+                                  "(invalid start byte)")
+
     def test_header_only_observations_is_data_error(self, dataset, tmp_path,
                                                     capsys):
         obs = tmp_path / "obs.csv"
@@ -748,8 +803,9 @@ class TestNndCommand:
             outputs[jobs] = {str(p.relative_to(out_dir)): p.read_bytes()
                              for p in sorted(out_dir.rglob("*")) if p.is_file()}
         assert sorted(outputs["1"]) == [
-            "diagnostics.json", "forecasts.csv", "models/g00.net",
-            "models/g01.net", "models/total.net"]
+            ".hiercast-cache/forecasts.csv.npz", "diagnostics.json",
+            "forecasts.csv", "models/g00.net", "models/g01.net",
+            "models/total.net"]
         assert outputs["2"] == outputs["1"]
 
     def test_blas_threads_do_not_change_output_bytes(self, tmp_path):

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,33 @@ class TestCsvRoundTrip:
         assert np.array_equal(panel2.timestamps, panel.timestamps)
         for n in h.bottom_ids:
             assert np.array_equal(panel2.exog[n][1], panel.exog[n][1])
+
+    def test_non_ascii_ids_under_an_ascii_locale(self, tmp_path):
+        """The writers write UTF-8 whatever the locale's encoding."""
+        nodes = [("Zürich", None, 0), ("Genève", "Zürich", 1)]
+        exog = {"Genève": (["prömo"], [[1.0]])}
+        script = (      # ascii(): the command line is decoded as ASCII too
+            "import sys\n"
+            "from hiercast import Hierarchy, SeriesPanel\n"
+            "from hiercast.hierarchy import (write_exog, write_hierarchy,\n"
+            "                                write_observations)\n"
+            f"h = Hierarchy.from_nodes({ascii(nodes)})\n"
+            f"panel = SeriesPanel(h, ['2020-01-01'], [[2.0, 2.0]], {ascii(exog)})\n"
+            "write_hierarchy(h, sys.argv[1] + '/h.csv')\n"
+            "write_observations(panel, sys.argv[1] + '/obs.csv')\n"
+            "write_exog(panel, sys.argv[1] + '/ex.csv')\n")
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        h = load_hierarchy(tmp_path / "h.csv")
+        assert h.node_ids == ("Zürich", "Genève")
+        panel = load_panel(h, tmp_path / "obs.csv", tmp_path / "ex.csv")
+        assert panel.values.tolist() == [[2.0, 2.0]]
+        assert panel.exog["Genève"][0] == ["prömo"]
 
     def test_missing_observation_is_data_error(self, tmp_path):
         h = make_hierarchy((2,))

@@ -1,6 +1,7 @@
 """The parse cache of long-format CSVs: a later read of the same bytes skips
 the row parse and gives the same results and errors; anything amiss with an
-entry falls back to parsing the file."""
+entry falls back to parsing the file.  The long-format writers store the
+entry the first read would store."""
 
 import os
 import threading
@@ -9,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from hiercast import DataError, hierarchy
-from hiercast.forecastset import read_forecast_set
-from hiercast.hierarchy import read_long_csv
+from hiercast import DataError, Hierarchy, SeriesPanel, hierarchy
+from hiercast.forecastset import ForecastSet, read_forecast_set
+from hiercast.hierarchy import read_long_csv, write_observations
 
 CACHE_DIR = ".hiercast-cache"
 
@@ -186,3 +187,84 @@ def test_two_writes_of_an_entry_are_byte_identical(obs, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: 2.0e9)
     read(other)
     assert entry(other).read_bytes() == entry(obs).read_bytes()
+
+
+def test_prune_removes_entries_whose_csv_is_gone(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(OBS)
+    read(a)
+    a.unlink()
+    ForecastSet("bu", ("x",), ["2020-01-01"], [[1.0]]).write_csv(b)
+    assert sorted(p.name for p in (tmp_path / CACHE_DIR).iterdir()) == ["b.csv.npz"]
+
+
+# ---------------------------------------------------------------------------
+# Entries stored by the long-format writers
+# ---------------------------------------------------------------------------
+
+FORECAST = (("node_id", "method"), "forecast")
+OBSERVATIONS = (("node_id",), "value")
+
+
+def write_forecasts(path, ids, stamps, values):
+    ForecastSet("mint", ids, stamps, values).write_csv(path)
+    return FORECAST
+
+
+def write_panel(path, ids, stamps, values):
+    """A two-level panel of the values after the first column, whose first
+    id is their total."""
+    hier = Hierarchy.from_nodes([(ids[0], None, 0)]
+                                + [(n, ids[0], 1) for n in ids[1:]])
+    bottom = np.asarray(values, dtype=float)[:, 1:]
+    panel = SeriesPanel(hier, stamps, np.column_stack([bottom.sum(axis=1), bottom]))
+    write_observations(panel, path)
+    return OBSERVATIONS
+
+
+DAYS = ["2020-01-01", "2020-01-02", "2020-01-03"]
+VALUES = [[3.0, 1.25, 1.75], [0.1, -0.0, 0.1], [7e-300, 1e300, 2.5]]
+
+
+@pytest.mark.parametrize("write", [write_forecasts, write_panel])
+@pytest.mark.parametrize("ids,stamps", [
+    (("total", "a", "b"), DAYS),
+    (("total", 'a,"b"', "c"), DAYS),
+    (("Zürich", "Bern", "Genève"), DAYS),
+    (("total", "a", "b"), ["2020-01-01T06:00:00", "2020-01-01T18:30:15",
+                           "2020-01-02T00:00:00"]),
+], ids=["plain", "comma-quote", "non-ascii", "non-midnight"])
+def test_a_written_entry_is_the_entry_a_cold_read_stores(
+        tmp_path, monkeypatch, write, ids, stamps):
+    path = tmp_path / "out.csv"
+    columns, value = write(path, ids, stamps, VALUES)
+    seeded = entry(path).read_bytes()
+    monkeypatch.setattr(hierarchy, "_parse_long_csv", no_parse)
+    warm = read_long_csv(path, columns, value, "cell")
+    monkeypatch.undo()
+    entry(path).unlink()
+    cold = read_long_csv(path, columns, value, "cell")
+    assert entry(path).read_bytes() == seeded
+    for got, want in zip(warm, cold):
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()      # -0.0 keeps its sign
+        else:
+            assert got == want and list(map(type, got)) == list(map(type, want))
+    assert [k[0] if isinstance(k, tuple) else k for k in warm[1]] == list(ids)
+
+
+@pytest.mark.parametrize("ids,stamps,values,read_back", [
+    (("a", "a"), DAYS[:2], [[1.0, 2.0], [3.0, 4.0]], [[2.0], [4.0]]),
+    (("a", "b"), DAYS[:2], [[1.0, np.nan], [3.0, 4.0]], [[1.0, np.nan], [3.0, 4.0]]),
+    (("a", "b"), [DAYS[0], DAYS[0]], [[1.0, 2.0], [3.0, 4.0]], [[3.0, 4.0]]),
+    (("a\0", "b"), DAYS[:1], [[1.0, 2.0]], [[1.0, 2.0]]),
+], ids=["duplicate-id", "nan", "duplicate-stamp", "trailing-nul"])
+def test_a_parse_that_could_differ_is_not_stored(tmp_path, ids, stamps, values,
+                                                 read_back):
+    path = tmp_path / "fc.csv"
+    write_forecasts(path, ids, stamps, values)
+    assert not (tmp_path / CACHE_DIR).exists()
+    for _ in range(2):
+        _, _, matrix = read_long_csv(path, *FORECAST, "forecast")
+        assert np.array_equal(matrix, read_back, equal_nan=True)
