@@ -100,9 +100,11 @@ def load_config_file(path, command=None):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read(path, encoding="utf-8-sig")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: not UTF-8 text ({exc})") from None
     merged = dict(parser.defaults())
     for section in sorted(parser.sections(), key=lambda name: name == command):
         merged.update(parser.items(section))
@@ -286,7 +288,7 @@ def cmd_reconcile(cfg):
     hier, panel = _load_inputs(cfg)
     S = build_summing_matrix(hier)
     fs = read_forecast_set(_require_file(cfg["base"], "base forecast"))
-    base = np.column_stack([fs.column(n) for n in hier.node_ids])
+    base = fs.columns(hier.node_ids)
     hist = (panel if cfg["split"] is None
             else panel.slice_rows(0, _split_index(cfg, panel)))
     methods, errors = cfg["methods"], None
@@ -366,13 +368,12 @@ def cmd_nnd(cfg):
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(cfg):
-    from .evaluate import SCORERS, EvalReport, nemenyi_svg
+    from .evaluate import EvalReport, nemenyi_svg, score_sets
 
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
-    metric = cfg["metric"]
-    score = SCORERS[metric]
-    m_season, out_dir, paths = cfg["m_season"], cfg["out_dir"], cfg["forecasts"]
+    metric, m_season = cfg["metric"], cfg["m_season"]
+    out_dir, paths = cfg["out_dir"], cfg["forecasts"]
 
     sets = [read_forecast_set(_require_file(p, "forecast")) for p in paths]
     methods = [fs.method for fs in sets]
@@ -389,22 +390,32 @@ def cmd_evaluate(cfg):
         raise DataError(
             f"need {h} held-out rows after the split, panel has {panel.T - n_train}"
         )
+    held_out = panel.timestamps[n_train:n_train + h]
+    for p, fs in zip(paths, sets):
+        differ = np.flatnonzero(fs.timestamps != held_out)
+        if differ.size:
+            i = differ[0]
+            pair = fs.timestamps[i], held_out[i]
+            got, want = (format_timestamp(ts, timestamps_are_dates(pair))
+                         for ts in pair)
+            raise DataError(
+                f"forecast file {p}: step {i + 1} is stamped {got}, but "
+                f"step {i + 1} after the split is {want}")
 
-    report = EvalReport(methods=methods, metric=metric)
-    for node_id in hier.node_ids:
-        idx = hier.index(node_id)
-        actual = panel.values[n_train:n_train + h, idx]
-        insample = panel.values[:n_train, idx]
-        scores = {}
-        try:
-            for fs in sets:
-                scores[fs.method] = score(actual, fs.column(node_id), insample,
-                                          m_season)
-        except NumericError as exc:
-            report.flagged[node_id] = str(exc)
-            continue
-        report.series_scores[node_id] = scores
-        report.series_levels[node_id] = hier.levels[idx]
+    # one row per node, in hierarchy order
+    def rows(values):
+        return np.ascontiguousarray(values.T)
+
+    scores, reasons = score_sets(
+        metric, rows(panel.values[n_train:n_train + h]),
+        [rows(fs.columns(hier.node_ids)) for fs in sets],
+        rows(panel.values[:n_train]), m_season)
+    keep = [i for i, r in enumerate(reasons) if r is None]
+    report = EvalReport(
+        methods=methods, metric=metric,
+        series=[hier.node_ids[i] for i in keep],
+        levels=[hier.levels[i] for i in keep], scores=scores[:, keep],
+        flagged={n: r for n, r in zip(hier.node_ids, reasons) if r is not None})
 
     if cfg["rank_tests"]:
         report.run_rank_tests(cfg["significance"])
@@ -417,7 +428,7 @@ def cmd_evaluate(cfg):
     if report.nemenyi is not None:
         with open(os.path.join(out_dir, "nemenyi.svg"), "w", encoding="utf-8") as fh:
             fh.write(nemenyi_svg(report.nemenyi))
-    print(f"evaluated {len(methods)} method(s) on {len(report.series_scores)} "
+    print(f"evaluated {len(methods)} method(s) on {len(report.series)} "
           f"series; report in {out_dir}")
     return 0
 
@@ -473,6 +484,21 @@ def _line_plot_svg(timestamps, series, width=720, height=300, margin=50):
     return "\n".join(parts) + "\n"
 
 
+def _plot_name(node_id):
+    """``plot_<node_id>.svg``; a DataError unless it is one path component
+    that the file system encoding can hold."""
+    name = f"plot_{node_id}.svg"
+    if {os.sep, os.altsep, "\0"} & set(name):
+        raise DataError(f"node {node_id!r} cannot name a plot file: "
+                        f"{name!r} is not one path component")
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError as exc:
+        raise DataError(f"node {node_id!r} cannot name a plot file: "
+                        f"{exc}") from None
+    return name
+
+
 def cmd_plot(cfg):
     hier, panel = _load_inputs(cfg)
     fs = read_forecast_set(_require_file(cfg["forecasts"], "forecast"))
@@ -486,18 +512,20 @@ def cmd_plot(cfg):
     start, stop = positions[0], positions[-1] + 1
     context = max(0, start - 4 * fs.horizon)
     out_dir = cfg["out_dir"]
+    # every file name and forecast is checked before any file is written
+    names = [_plot_name(node_id) for node_id in nodes]
+    forecasts = fs.columns(nodes)
     os.makedirs(out_dir, exist_ok=True)
 
-    for node_id in nodes:
+    for j, (node_id, name) in enumerate(zip(nodes, names)):
         actual = panel.series(node_id)[context:stop]
-        pad = np.concatenate([actual[:start - context], fs.column(node_id)])
+        pad = np.concatenate([actual[:start - context], forecasts[:, j]])
         svg = _line_plot_svg(
             panel.timestamps[context:stop],
             [("actual", actual, False),
              (fs.method, pad, True)],
         )
-        with open(os.path.join(out_dir, f"plot_{node_id}.svg"), "w",
-                  encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(svg)
     print(f"wrote {len(nodes)} plot(s) to {out_dir}")
     return 0

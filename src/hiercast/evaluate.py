@@ -15,40 +15,88 @@ from .errors import ConfigError, HiercastError, NumericError
 # Metrics
 # ---------------------------------------------------------------------------
 
-def mase(actual, forecast, insample, m_season=1):
-    """Mean absolute error scaled by the in-sample seasonal-naive MAE."""
-    actual = np.asarray(actual, dtype=float)
-    forecast = np.asarray(forecast, dtype=float)
+MASE_ZERO = "MASE denominator is zero (seasonally constant series)"
+SMAPE_ZERO = "SMAPE undefined: |actual|+|forecast| is zero at some step"
+
+
+def seasonal_scale(insample, m_season=1):
+    """The MASE denominator, the in-sample seasonal-naive MAE: of a series,
+    or of each row of an (M, T) array (one series per row) at once."""
     insample = np.asarray(insample, dtype=float)
-    if actual.shape != forecast.shape:
-        raise ConfigError("actual and forecast lengths differ")
-    T = len(insample)
+    T = insample.shape[-1]
     if T <= m_season:
         raise NumericError(f"insample length {T} <= seasonal period {m_season}")
-    denom = np.abs(insample[m_season:] - insample[:-m_season]).mean()
-    if denom == 0:
-        raise NumericError("MASE denominator is zero (seasonally constant series)")
-    return float(np.abs(actual - forecast).mean() / denom)
+    return np.abs(insample[..., m_season:] - insample[..., :-m_season]).mean(axis=-1)
+
+
+def _mase_rows(error, actual, forecast, scale):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return error.mean(axis=-1) / scale, scale == 0
+
+
+def _smape_rows(error, actual, forecast, scale):
+    total = np.abs(actual) + np.abs(forecast)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (2.0 * error / total).mean(axis=-1), (total == 0).any(axis=-1)
+
+
+# metric -> (row scorer, the reason a row it cannot score is flagged)
+SCORERS = {"mase": (_mase_rows, MASE_ZERO), "smape": (_smape_rows, SMAPE_ZERO)}
+
+
+def score_rows(metric, actual, forecast, scale=None):
+    """Score each row of ``forecast`` against the same row of ``actual``:
+    one series (1-D, length h) or M of them ((M, h), one series per row).
+    ``scale`` is the rows' ``seasonal_scale`` (MASE only).  Returns the
+    scores and a mask of the rows that have none (their score is
+    meaningless).  Numpy reduces each row of a C-contiguous array as it
+    reduces a 1-D one, so a row scores exactly as that series alone does."""
+    actual = np.asarray(actual, dtype=float)
+    forecast = np.asarray(forecast, dtype=float)
+    if actual.shape != forecast.shape:
+        raise ConfigError("actual and forecast lengths differ")
+    rows, _ = SCORERS[metric]
+    return rows(np.abs(actual - forecast), actual, forecast, scale)
+
+
+def _score_one(metric, actual, forecast, scale=None):
+    score, flagged = score_rows(metric, actual, forecast, scale)
+    if flagged:
+        raise NumericError(SCORERS[metric][1])
+    return float(score)
+
+
+def mase(actual, forecast, insample, m_season=1):
+    """Mean absolute error scaled by the in-sample seasonal-naive MAE."""
+    return _score_one("mase", actual, forecast, seasonal_scale(insample, m_season))
 
 
 def smape(actual, forecast):
     """Symmetric MAPE, bounded above by 2."""
-    actual = np.asarray(actual, dtype=float)
-    forecast = np.asarray(forecast, dtype=float)
-    if actual.shape != forecast.shape:
-        raise ConfigError("actual and forecast lengths differ")
-    scale = np.abs(actual) + np.abs(forecast)
-    if np.any(scale == 0):
-        raise NumericError("SMAPE undefined: |actual|+|forecast| is zero at some step")
-    return float((2.0 * np.abs(actual - forecast) / scale).mean())
+    return _score_one("smape", actual, forecast)
 
 
-# metric name -> score(actual, forecast, insample, m_season); the entries call
-# mase and smape by module name, so a wrapper bound over either sees each call
-SCORERS = {
-    "mase": lambda actual, fc, insample, m_season: mase(actual, fc, insample, m_season),
-    "smape": lambda actual, fc, insample, m_season: smape(actual, fc),
-}
+def score_sets(metric, actual, forecasts, insample, m_season=1):
+    """Score k forecast sets of the same M series, one array pass per set.
+
+    ``actual`` and each of ``forecasts`` are (M, h) and ``insample`` is
+    (M, n), one series per row; the MASE denominators are computed once.
+    Returns the (k, M) scores and, per row, None or the reason the series
+    is flagged: some set cannot score it.  With a history no longer than
+    the season (MASE), every series is flagged with that reason."""
+    reason = SCORERS[metric][1]
+    scale = None
+    if metric == "mase":
+        try:
+            scale = seasonal_scale(insample, m_season)
+        except NumericError as exc:
+            scale, reason = np.zeros(len(insample)), str(exc)
+    scores = np.empty((len(forecasts), len(actual)))
+    flagged = np.zeros(len(actual), dtype=bool)
+    for j, forecast in enumerate(forecasts):
+        scores[j], bad = score_rows(metric, actual, forecast, scale)
+        flagged |= bad
+    return scores, [reason if bad else None for bad in flagged.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +183,21 @@ def expanding_window_cv(y, X, fit, cfg: CVConfig, m_season=1):
 # Friedman / Nemenyi rank tests
 # ---------------------------------------------------------------------------
 
-def _average_ranks(row):
-    """Ascending ranks starting at 1; ties get the average rank."""
-    order = np.argsort(row, kind="stable")
-    ranks = np.empty(len(row))
-    i = 0
-    while i < len(row):
-        j = i
-        while j + 1 < len(row) and row[order[j + 1]] == row[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+def _average_ranks(errors):
+    """Ascending ranks of each row of an (N, k) matrix, from 1; ties get
+    their average rank.  A tie run spans sorted positions i..j of a row
+    and ranks 0.5*(i+j)+1; NaN equals nothing, so each is its own run."""
+    N, k = errors.shape
+    order = np.argsort(errors, axis=1, kind="stable")
+    ordered = np.take_along_axis(errors, order, axis=1)
+    pos = np.broadcast_to(np.arange(k), (N, k))
+    starts = np.ones((N, k + 1), dtype=bool)          # a run starts at a change
+    starts[:, 1:k] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(starts[:, :k], pos, 0), axis=1)
+    last = np.minimum.accumulate(
+        np.where(starts[:, 1:], pos, k - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((N, k))
+    np.put_along_axis(ranks, order, 0.5 * (first + last) + 1.0, axis=1)
     return ranks
 
 
@@ -212,8 +264,7 @@ def friedman_test(errors):
     N, k = errors.shape
     if N < 2 or k < 2:
         raise ConfigError(f"Friedman test needs N >= 2 and k >= 2, got {N} x {k}")
-    ranks = np.vstack([_average_ranks(row) for row in errors])
-    mean_ranks = ranks.mean(axis=0)
+    mean_ranks = _average_ranks(errors).mean(axis=0)
     stat = 12.0 * N / (k * (k + 1)) * float((mean_ranks ** 2).sum()) - 3.0 * N * (k + 1)
     p_value = chi2_sf(stat, k - 1)
     return stat, p_value, mean_ranks
@@ -252,11 +303,12 @@ class NemenyiResult:
         return hi_a < lo_b or hi_b < lo_a
 
 
-def nemenyi_test(errors, methods=None, significance=0.05):
+def nemenyi_test(errors, methods=None, significance=0.05, mean_ranks=None):
     """Post-hoc Nemenyi test: mean ranks, critical distance, rank intervals.
 
     Two methods are not significantly different iff their intervals
-    [rank - CD/2, rank + CD/2] overlap.
+    [rank - CD/2, rank + CD/2] overlap.  ``mean_ranks`` are the
+    ``friedman_test`` mean ranks of ``errors``, when already computed.
     """
     errors = np.asarray(errors, dtype=float)
     N, k = errors.shape
@@ -266,7 +318,8 @@ def nemenyi_test(errors, methods=None, significance=0.05):
         raise ConfigError(f"Nemenyi table covers 2 <= k <= 20 methods, got {k}")
     if methods is None:
         methods = [f"m{j}" for j in range(k)]
-    _, _, mean_ranks = friedman_test(errors)
+    if mean_ranks is None:
+        _, _, mean_ranks = friedman_test(errors)
     q = Q_TABLE[significance][k]
     cd = q * math.sqrt(k * (k + 1) / (6.0 * N))
     intervals = [(float(r - cd / 2), float(r + cd / 2)) for r in mean_ranks]
@@ -286,41 +339,41 @@ class EvalReport:
 
     methods: list
     metric: str
-    series_scores: dict = field(default_factory=dict)   # node_id -> {method: score}
-    series_levels: dict = field(default_factory=dict)   # node_id -> level
-    flagged: dict = field(default_factory=dict)         # node_id -> reason (excluded)
+    series: list            # scored node ids, in hierarchy order
+    levels: list            # the level of each scored series
+    scores: np.ndarray      # (methods, series): method j's scores in row j
+    flagged: dict = field(default_factory=dict)   # node_id -> reason (excluded)
     friedman: dict | None = None
     nemenyi: NemenyiResult | None = None
+    _averages: dict = field(init=False, repr=False, compare=False)
 
-    def level_averages(self):
-        """Mean score per (level, method), recomputed from per-series entries."""
-        out = {}
-        for node_id, scores in self.series_scores.items():
-            lv = self.series_levels[node_id]
-            for method, s in scores.items():
-                out.setdefault(lv, {}).setdefault(method, []).append(s)
-        return {
-            lv: {m: float(np.mean(v)) for m, v in per.items()}
-            for lv, per in sorted(out.items())
+    def __post_init__(self):
+        self.scores = np.asarray(self.scores, dtype=float).reshape(
+            len(self.methods), len(self.series))
+        levels = np.asarray(self.levels)
+        # each method's mean over a level's series, in hierarchy order
+        self._averages = {
+            lv: dict(zip(self.methods, np.ascontiguousarray(
+                self.scores[:, levels == lv]).mean(axis=1).tolist()))
+            for lv in sorted(set(self.levels))
         }
 
+    def level_averages(self):
+        """Mean score per (level, method) over the scored series."""
+        return self._averages
+
     def run_rank_tests(self, significance=0.05):
-        rows = []
-        for node_id in sorted(self.series_scores):
-            scores = self.series_scores[node_id]
-            if all(m in scores for m in self.methods):
-                rows.append([scores[m] for m in self.methods])
-        if len(rows) < 2 or len(self.methods) < 2:
+        if len(self.series) < 2 or len(self.methods) < 2:
             raise ConfigError(
                 "rank tests need at least 2 series and 2 methods with full scores"
             )
-        errors = np.asarray(rows)
+        errors = self.scores.T
         stat, p, mean_ranks = friedman_test(errors)
         self.friedman = {
             "statistic": stat, "p_value": p,
             "mean_ranks": {m: float(r) for m, r in zip(self.methods, mean_ranks)},
         }
-        self.nemenyi = nemenyi_test(errors, self.methods, significance)
+        self.nemenyi = nemenyi_test(errors, self.methods, significance, mean_ranks)
         return self
 
     def to_json(self):
@@ -328,12 +381,13 @@ class EvalReport:
             "metric": self.metric,
             "methods": self.methods,
             "series": {
-                n: {"level": self.series_levels[n], "scores": self.series_scores[n]}
-                for n in sorted(self.series_scores)
+                n: {"level": lv, "scores": dict(zip(self.methods, col))}
+                for n, lv, col in zip(self.series, self.levels,
+                                      self.scores.T.tolist())
             },
             "flagged": dict(sorted(self.flagged.items())),
             "level_averages": {
-                str(lv) : per for lv, per in self.level_averages().items()
+                str(lv) : per for lv, per in self._averages.items()
             },
         }
         if self.friedman is not None:
@@ -352,12 +406,11 @@ class EvalReport:
     def to_csv(self):
         """Per-series table, one row per series, one column per method."""
         lines = ["series,level," + ",".join(self.methods)]
-        for node_id in sorted(self.series_scores, key=lambda n: (self.series_levels[n], n)):
-            scores = self.series_scores[node_id]
-            cells = [f"{scores[m]:.6f}" if m in scores else "" for m in self.methods]
-            lines.append(f"{node_id},{self.series_levels[node_id]}," + ",".join(cells))
-        for lv, per in self.level_averages().items():
-            cells = [f"{per[m]:.6f}" if m in per else "" for m in self.methods]
+        rows = sorted(zip(self.levels, self.series, self.scores.T.tolist()))
+        for lv, node_id, col in rows:
+            lines.append(f"{node_id},{lv}," + ",".join(f"{s:.6f}" for s in col))
+        for lv, per in self._averages.items():
+            cells = [f"{per[m]:.6f}" for m in self.methods]
             lines.append(f"average_level_{lv},{lv}," + ",".join(cells))
         return "\n".join(lines) + "\n"
 

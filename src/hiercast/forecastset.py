@@ -32,10 +32,15 @@ class ForecastSet:
         return len(self.timestamps)
 
     def column(self, node_id):
+        return self.columns([node_id])[:, 0]
+
+    def columns(self, node_ids):
+        """The (H, len(node_ids)) forecasts of ``node_ids``, in that order,
+        as a C-contiguous array."""
         try:
-            return self.values[:, self._col[node_id]]
-        except KeyError:
-            raise DataError(f"no forecast for node {node_id!r}") from None
+            return self.values.take([self._col[n] for n in node_ids], axis=1)
+        except KeyError as exc:
+            raise DataError(f"no forecast for node {exc.args[0]!r}") from None
 
     def write_csv(self, path):
         _write_long(path, ("node_id", "method"), "forecast", self.timestamps,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hiercast import (Hierarchy, aggregate, build_summing_matrix,
-                      load_hierarchy)
+                      load_hierarchy, load_panel)
 from hiercast import cli, evaluate, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
@@ -29,6 +29,33 @@ def dataset(tmp_path):
     ])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def swiss(tmp_path):
+    """Data args of a two-leaf panel whose node ids are total, Bern and
+    Zürich."""
+    hier = Hierarchy.from_nodes([("total", None, 0), ("Bern", "total", 1),
+                                 ("Zürich", "total", 1)])
+    t = np.arange(120)
+    bottom = np.column_stack([10 + np.sin(2 * np.pi * t / 7),
+                              20 + np.cos(2 * np.pi * t / 7)])
+    write_hierarchy(hier, tmp_path / "hierarchy.csv")
+    write_observations(panel_from_bottom(hier, bottom),
+                       tmp_path / "observations.csv")
+    return ["--hierarchy", tmp_path / "hierarchy.csv",
+            "--observations", tmp_path / "observations.csv"]
+
+
+def run_under_c_locale(*argv):
+    """``hiercast.cli`` in a child process whose locale and file system
+    encodings are ASCII."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "hiercast.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
 
 
 def run_forecast(dataset, out_path, split="100"):
@@ -146,30 +173,38 @@ class TestForecast:
         err = json.loads(capsys.readouterr().err)
         assert err["message"] == "ARX fitted with exog needs future exog values"
 
-    def test_non_ascii_node_ids_under_an_ascii_locale(self, tmp_path):
+    def test_non_ascii_node_ids_under_an_ascii_locale(self, swiss, tmp_path):
         """Files are written as UTF-8 whatever the locale's encoding."""
-        hier = Hierarchy.from_nodes([("total", None, 0), ("Bern", "total", 1),
-                                     ("Zürich", "total", 1)])
-        t = np.arange(120)
-        bottom = np.column_stack([10 + np.sin(2 * np.pi * t / 7),
-                                  20 + np.cos(2 * np.pi * t / 7)])
-        write_hierarchy(hier, tmp_path / "hierarchy.csv")
-        write_observations(panel_from_bottom(hier, bottom),
-                           tmp_path / "observations.csv")
         out = tmp_path / "base.csv"
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([
-            sys.executable, "-m", "hiercast.cli", "forecast",
-            "--hierarchy", str(tmp_path / "hierarchy.csv"),
-            "--observations", str(tmp_path / "observations.csv"),
-            "--split", "100", "--horizon", "7", "--out", str(out),
-            "--include-narx", "false", "--include-combinations", "false",
-        ], env=env, capture_output=True, text=True)
+        proc = run_under_c_locale(
+            "forecast", *swiss, "--split", "100", "--horizon", "7",
+            "--out", out, "--include-narx", "false",
+            "--include-combinations", "false")
         assert proc.returncode == 0, proc.stderr
         assert read_forecast_set(out).node_ids == ("total", "Bern", "Zürich")
+
+    def test_utf8_config_file_under_an_ascii_locale(self, swiss, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[forecast]\nnodes = Zürich\n", encoding="utf-8")
+        proc = run_under_c_locale(
+            "forecast", *swiss, "--split", "100", "--horizon", "7",
+            "--out", tmp_path / "base.csv", "--include-narx", "false",
+            "--include-combinations", "false", "--config", cfg)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, dataset,
+                                                          tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes("[forecast]\nnodes = Zürich\n".encode("latin-1"))
+        code = main(["forecast", "--hierarchy", str(dataset / "hierarchy.csv"),
+                     "--observations", str(dataset / "observations.csv"),
+                     "--split", "100", "--out", str(tmp_path / "base.csv"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith(f"config file {cfg}: not UTF-8 text (")
+        assert not (tmp_path / "base.csv").exists()
 
     @pytest.mark.parametrize("role", ["hierarchy", "observations"])
     def test_input_that_is_a_directory_is_config_error(self, dataset, tmp_path,
@@ -681,6 +716,87 @@ class TestEvaluate:
                                                   "ahp": ranks[1]}}
 
 
+class TestEvaluateAlignment:
+    """evaluate scores each forecast set against the rows its stamps name."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        """A 40-row panel (total, a, b) and a ``bu`` set for rows 33-39."""
+        hier = Hierarchy.from_nodes(
+            [("total", None, 0), ("a", "total", 1), ("b", "total", 1)])
+        t = np.arange(40)
+        panel = panel_from_bottom(hier, np.column_stack(
+            [10 + np.sin(t) + 0.1 * t, 20 + np.cos(t)]))
+        write_hierarchy(hier, tmp_path / "hierarchy.csv")
+        write_observations(panel, tmp_path / "observations.csv")
+        rng = np.random.default_rng(0)
+        ForecastSet("bu", hier.node_ids, panel.timestamps[33:40],
+                    panel.values[33:40] + rng.random((7, 3))
+                    ).write_csv(tmp_path / "bu.csv")
+        return tmp_path
+
+    def _evaluate(self, data, split, *extra):
+        return main(["evaluate", "--hierarchy", str(data / "hierarchy.csv"),
+                     "--observations", str(data / "observations.csv"),
+                     "--split", str(split), "--rank-tests", "false",
+                     "--out-dir", str(data / "eval"), *extra])
+
+    def test_set_dated_after_the_split_is_data_error(self, data, capsys):
+        assert self._evaluate(data, 30, "--forecasts", str(data / "bu.csv")) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == (
+            f"forecast file {data / 'bu.csv'}: step 1 is stamped 2015-02-07, "
+            f"but step 1 after the split is 2015-02-04")
+        assert not (data / "eval").exists()
+
+    def test_set_dated_at_the_split_is_scored(self, data):
+        assert self._evaluate(data, 33, "--forecasts", str(data / "bu.csv")) == 0
+        doc = json.loads((data / "eval" / "report.json").read_text())
+        assert sorted(doc["series"]) == ["a", "b", "total"]
+
+    def _subset(self, data, method, node_ids):
+        full = read_forecast_set(data / "bu.csv")
+        ForecastSet(method, tuple(node_ids), full.timestamps,
+                    np.column_stack([full.column(n) for n in node_ids])
+                    ).write_csv(data / f"{method}.csv")
+        return str(data / f"{method}.csv")
+
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_set_missing_a_node_is_data_error(self, data, capsys, constant):
+        """Also when the node is flagged: every set is looked up in full."""
+        if constant:    # a's history is constant: its MASE is flagged
+            hier = load_hierarchy(data / "hierarchy.csv")
+            panel = load_panel(hier, data / "observations.csv")
+            values = panel.values.copy()
+            values[:, 1] = 5.0
+            values[:, 0] = values[:, 1] + values[:, 2]
+            write_observations(panel_from_bottom(hier, values[:, 1:]),
+                               data / "observations.csv")
+        other = self._subset(data, "other", ["total", "b"])
+        code = self._evaluate(data, 33, "--forecasts",
+                              f"{data / 'bu.csv'},{other}")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "DataError", "exit_code": 3,
+                       "message": "no forecast for node 'a'"}
+
+    def test_every_series_flagged_rank_tests_exit_2(self, data, capsys):
+        other = self._subset(data, "other", ["total", "a", "b"])
+        forecasts = ["--forecasts", f"{data / 'bu.csv'},{other}",
+                     "--m-season", "33"]
+        assert self._evaluate(data, 33, *forecasts) == 0
+        doc = json.loads((data / "eval" / "report.json").read_text())
+        assert doc["series"] == {} and doc["level_averages"] == {}
+        assert doc["flagged"] == dict.fromkeys(
+            ["a", "b", "total"], "insample length 33 <= seasonal period 33")
+        assert self._evaluate(data, 33, *forecasts, "--rank-tests", "true") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == ("rank tests need at least 2 series and 2 "
+                                  "methods with full scores")
+
+
 class TestNndCommand:
     def test_nnd2_pipeline(self, dataset, tmp_path):
         out_dir = tmp_path / "nnd"
@@ -890,6 +1006,45 @@ class TestPlot:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DataError" and "timestamps" in err["message"]
+        assert not out_dir.exists()
+
+    def _forecasts(self, hierarchy, observations, path):
+        hier = load_hierarchy(hierarchy)
+        panel = load_panel(hier, observations)
+        ForecastSet("naive", hier.node_ids, panel.timestamps[100:107],
+                    panel.values[93:100]).write_csv(path)
+
+    def test_node_the_file_system_cannot_name_writes_nothing(self, swiss,
+                                                             tmp_path):
+        base, out_dir = tmp_path / "base.csv", tmp_path / "plots"
+        self._forecasts(swiss[1], swiss[3], base)
+        proc = run_under_c_locale("plot", *swiss, "--forecasts", base,
+                                  "--nodes", "all", "--out-dir", out_dir)
+        assert proc.returncode == 3, proc.stderr
+        err = json.loads(proc.stderr)
+        assert err["error"] == "DataError"
+        assert err["message"].startswith("node 'Zürich' cannot name a plot file")
+        assert not out_dir.exists()
+
+    def test_node_with_a_path_separator_writes_nothing(self, tmp_path, capsys):
+        hier = Hierarchy.from_nodes([("total", None, 0), ("a", "total", 1),
+                                     ("Z/B", "total", 1)])
+        t = np.arange(120)
+        write_hierarchy(hier, tmp_path / "hierarchy.csv")
+        write_observations(panel_from_bottom(hier, np.column_stack(
+            [10 + np.sin(t), 20 + np.cos(t)])), tmp_path / "observations.csv")
+        base, out_dir = tmp_path / "base.csv", tmp_path / "plots"
+        self._forecasts(tmp_path / "hierarchy.csv",
+                        tmp_path / "observations.csv", base)
+        code = main(["plot", "--hierarchy", str(tmp_path / "hierarchy.csv"),
+                     "--observations", str(tmp_path / "observations.csv"),
+                     "--forecasts", str(base), "--nodes", "all",
+                     "--out-dir", str(out_dir)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == ("node 'Z/B' cannot name a plot file: "
+                                  "'plot_Z/B.svg' is not one path component")
         assert not out_dir.exists()
 
 

@@ -7,6 +7,8 @@ import pytest
 from hiercast import (ConfigError, CVConfig, EvalReport, Naive, NumericError,
                       chi2_sf, expanding_window_cv, friedman_test, mase,
                       nemenyi_svg, nemenyi_test, smape)
+from hiercast.evaluate import (MASE_ZERO, SMAPE_ZERO, _average_ranks,
+                               score_sets)
 
 
 class TestMase:
@@ -67,6 +69,96 @@ class TestSmape:
     def test_both_zero_is_numeric_error(self):
         with pytest.raises(NumericError):
             smape([0.0], [0.0])
+
+
+# lengths inside numpy's first pairwise block (< 8), its unrolled blocks
+# (8-128) and past one block (> 128)
+LENGTHS = [1, 2, 7, 8, 9, 64, 127, 128, 129, 300, 1000]
+
+
+class TestScoreSets:
+    """The column scorer gives each series exactly the score the public
+    one-series functions give it."""
+
+    @pytest.mark.parametrize("m_season", [1, 7])
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_mase_equals_per_series_loop(self, rng, length, m_season):
+        M = 5
+        insample = rng.standard_normal((M, length + m_season)) * 10.0 ** rng.integers(-3, 4, (M, 1))
+        actual = rng.standard_normal((M, length)) * 50.0
+        forecasts = [actual + rng.standard_normal((M, length)) for _ in range(3)]
+        scores, reasons = score_sets("mase", actual, forecasts, insample, m_season)
+        assert reasons == [None] * M
+        for j, fc in enumerate(forecasts):
+            for i in range(M):
+                assert scores[j, i] == mase(actual[i], fc[i], insample[i], m_season)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_smape_equals_per_series_loop(self, rng, length):
+        M = 5
+        actual = rng.random((M, length)) + 0.5
+        forecasts = [rng.random((M, length)) + 0.5 for _ in range(2)]
+        scores, reasons = score_sets("smape", actual, forecasts, None)
+        assert reasons == [None] * M
+        for j, fc in enumerate(forecasts):
+            for i in range(M):
+                assert scores[j, i] == smape(actual[i], fc[i])
+
+    def test_flags_name_the_public_functions_reasons(self, rng):
+        insample = rng.random((3, 20))
+        insample[1] = 4.0                       # zero seasonal-naive MAE
+        actual = rng.random((3, 6)) + 1.0
+        fc = rng.random((3, 6)) + 1.0
+        scores, reasons = score_sets("mase", actual, [fc, fc + 1], insample, 1)
+        assert reasons == [None, MASE_ZERO, None]
+        with pytest.raises(NumericError) as info:
+            mase(actual[1], fc[1], insample[1])
+        assert str(info.value) == MASE_ZERO
+        assert scores[1, 2] == mase(actual[2], fc[2] + 1, insample[2])
+
+        actual[0, 3] = fc[0, 3] = 0.0           # |actual|+|forecast| == 0
+        _, reasons = score_sets("smape", actual, [fc + 1, fc], None)
+        assert reasons == [SMAPE_ZERO, None, None]
+        with pytest.raises(NumericError) as info:
+            smape(actual[0], fc[0])
+        assert str(info.value) == SMAPE_ZERO
+
+    def test_history_no_longer_than_season_flags_every_series(self, rng):
+        insample = rng.random((3, 7))
+        actual = rng.random((3, 2))
+        _, reasons = score_sets("mase", actual, [actual + 1], insample, 7)
+        assert reasons == ["insample length 7 <= seasonal period 7"] * 3
+        with pytest.raises(NumericError, match=reasons[0]):
+            mase(actual[0], actual[0] + 1, insample[0], 7)
+
+
+def _reference_ranks(row):
+    """Average ranks of one row by a scan over its sorted values."""
+    order = np.argsort(row, kind="stable")
+    ranks = np.empty(len(row))
+    i = 0
+    while i < len(row):
+        j = i
+        while j + 1 < len(row) and row[order[j + 1]] == row[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestAverageRanks:
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 20])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 10])
+    def test_equal_to_a_per_row_scan_on_ties(self, rng, k, levels):
+        errors = rng.integers(0, levels, (200, k)).astype(float)
+        expect = np.vstack([_reference_ranks(row) for row in errors])
+        assert np.array_equal(_average_ranks(errors), expect)
+
+    def test_nan_is_its_own_run_after_every_number(self):
+        errors = np.array([[np.nan, 1.0, np.nan, 1.0], [2.0, -0.0, 0.0, np.nan]])
+        expect = np.vstack([_reference_ranks(row) for row in errors])
+        assert np.array_equal(_average_ranks(errors), expect)
+        assert expect.tolist() == [[3.0, 1.5, 4.0, 1.5], [3.0, 1.5, 1.5, 4.0]]
 
 
 class TestCV:
@@ -302,14 +394,11 @@ class TestNemenyi:
 
 
 def _toy_report():
-    rep = EvalReport(methods=["bu", "mint"], metric="mase")
-    rep.series_scores = {
-        "total": {"bu": 1.0, "mint": 0.8},
-        "a": {"bu": 2.0, "mint": 1.0},
-        "b": {"bu": 3.0, "mint": 2.0},
-    }
-    rep.series_levels = {"total": 0, "a": 1, "b": 1}
-    return rep
+    #                  total    a    b
+    return EvalReport(methods=["bu", "mint"], metric="mase",
+                      series=["total", "a", "b"], levels=[0, 1, 1],
+                      scores=[[1.0, 2.0, 3.0],      # bu
+                              [0.8, 1.0, 2.0]])     # mint
 
 
 class TestEvalReport:
@@ -324,10 +413,28 @@ class TestEvalReport:
         assert rep.friedman["mean_ranks"]["mint"] == 1.0
         assert rep.nemenyi.sorted_methods()[0] == "mint"
 
+    def test_nemenyi_takes_the_friedman_mean_ranks(self, monkeypatch):
+        import hiercast.evaluate as ev
+        calls = []
+        original = ev.friedman_test
+        monkeypatch.setattr(ev, "friedman_test",
+                            lambda e: calls.append(1) or original(e))
+        rep = _toy_report().run_rank_tests()
+        assert len(calls) == 1
+        assert rep.nemenyi.mean_ranks.tolist() == list(
+            rep.friedman["mean_ranks"].values())
+
+    def test_no_scored_series_rejected(self):
+        rep = EvalReport(methods=["bu", "mint"], metric="mase", series=[],
+                         levels=[], scores=np.empty((2, 0)),
+                         flagged={"a": MASE_ZERO, "b": MASE_ZERO})
+        assert rep.level_averages() == {}
+        with pytest.raises(ConfigError, match="at least 2 series"):
+            rep.run_rank_tests()
+
     def test_single_method_rejected(self):
-        rep = EvalReport(methods=["bu"], metric="mase")
-        rep.series_scores = {"a": {"bu": 1.0}, "b": {"bu": 2.0}}
-        rep.series_levels = {"a": 1, "b": 1}
+        rep = EvalReport(methods=["bu"], metric="mase", series=["a", "b"],
+                         levels=[1, 1], scores=[[1.0, 2.0]])
         with pytest.raises(ConfigError):
             rep.run_rank_tests()
 
@@ -349,7 +456,7 @@ class TestEvalReport:
         rep = _toy_report()
         rep.flagged["c"] = "zero denominator"
         avg = rep.level_averages()
-        assert "c" not in rep.series_scores
+        assert "c" not in rep.series
         doc = json.loads(rep.to_json())
         assert doc["flagged"] == {"c": "zero denominator"}
         assert avg[1]["bu"] == pytest.approx(2.5)
