@@ -96,11 +96,12 @@ def _unit_float(token):
 def load_config_file(path, command=None):
     """Flat key=value config with sections; all sections are merged, the
     one named after ``command`` last so that its keys win."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8-sig")
+        with open(_require_file(path, "config"), encoding="utf-8-sig") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
@@ -165,7 +166,10 @@ def _split_index(cfg, panel):
     try:
         n_train = int(raw)
     except (TypeError, ValueError):
-        ts = _parse_ts(str(raw))
+        try:
+            ts = _parse_ts(str(raw))
+        except DataError as exc:
+            raise ConfigError(f"bad value for 'split': {exc}") from None
         n_train = int(np.searchsorted(panel.timestamps, ts, side="right"))
     if not 2 <= n_train <= panel.T:
         raise ConfigError(
@@ -343,6 +347,8 @@ def cmd_nnd(cfg):
                  cfg["m_season"])
 
     models_dir = os.path.join(out_dir, "models")
+    # every model file name is checked before any file is written
+    names = {p: _node_file_name("{}.net", p, "a model file") for p in result.models}
     os.makedirs(models_dir, exist_ok=True)
     ForecastSet(
         method=strategy, node_ids=tuple(hier.node_ids),
@@ -350,7 +356,7 @@ def cmd_nnd(cfg):
         values=result.values,
     ).write_csv(os.path.join(out_dir, "forecasts.csv"))
     for parent_id, net in sorted(result.models.items()):
-        save_network(net, os.path.join(models_dir, f"{parent_id}.net"))
+        save_network(net, os.path.join(models_dir, names[parent_id]))
     with open(os.path.join(out_dir, "diagnostics.json"), "w", encoding="utf-8") as fh:
         json.dump({
             "strategy": strategy,
@@ -484,18 +490,18 @@ def _line_plot_svg(timestamps, series, width=720, height=300, margin=50):
     return "\n".join(parts) + "\n"
 
 
-def _plot_name(node_id):
-    """``plot_<node_id>.svg``; a DataError unless it is one path component
-    that the file system encoding can hold."""
-    name = f"plot_{node_id}.svg"
+def _node_file_name(pattern, node_id, what):
+    """``pattern.format(node_id)``, the name of ``what`` for the node; a
+    DataError unless it is one path component that the file system encoding
+    can hold."""
+    name = pattern.format(node_id)
     if {os.sep, os.altsep, "\0"} & set(name):
-        raise DataError(f"node {node_id!r} cannot name a plot file: "
+        raise DataError(f"node {node_id!r} cannot name {what}: "
                         f"{name!r} is not one path component")
     try:
         os.fsencode(name)
     except UnicodeEncodeError as exc:
-        raise DataError(f"node {node_id!r} cannot name a plot file: "
-                        f"{exc}") from None
+        raise DataError(f"node {node_id!r} cannot name {what}: {exc}") from None
     return name
 
 
@@ -513,7 +519,8 @@ def cmd_plot(cfg):
     context = max(0, start - 4 * fs.horizon)
     out_dir = cfg["out_dir"]
     # every file name and forecast is checked before any file is written
-    names = [_plot_name(node_id) for node_id in nodes]
+    names = [_node_file_name("plot_{}.svg", node_id, "a plot file")
+             for node_id in nodes]
     forecasts = fs.columns(nodes)
     os.makedirs(out_dir, exist_ok=True)
 

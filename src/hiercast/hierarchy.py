@@ -7,11 +7,11 @@ by level, then lexicographic node id.
 
 import csv
 import io
+import json
 import os
-import zipfile
 import zlib
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -414,12 +414,13 @@ def _parse_long_csv(path, columns, value):
             np.asarray(row_value))
 
 
-# The parse of a long-format CSV is kept in CACHE_DIR next to it, one .npz
-# entry per file, tagged with the file's size and checksums, the reader's
-# arguments and _CACHE_FORMAT; an entry is only used when its tag matches.
-# The first read of a file stores its entry, and so does _write_long.
+# The parse of a long-format CSV is kept in CACHE_DIR next to it, stored by
+# its first read or by _write_long: a JSON line {"tag", "keys", "sizes":
+# [n_instants, n_rows]}, then the instants and each row's instant id, key id
+# and value as little-endian 8-byte words.  An entry is used only when its
+# tag (file size and checksums, reader arguments, _CACHE_FORMAT) matches.
 CACHE_DIR = ".hiercast-cache"
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 def _checksums(path):
@@ -433,18 +434,12 @@ def _checksums(path):
 
 
 def _tag(sums, columns, value):
-    return [str(_CACHE_FORMAT), *map(str, sums), *columns, value]
+    return [_CACHE_FORMAT, *sums, *columns, value]
 
 
 def _entry(path):
     return os.path.join(os.path.dirname(path), CACHE_DIR,
-                        os.path.basename(path) + ".npz")
-
-
-def _keys_from(cells, n_columns):
-    """The keys as the parse gives them, from their (keys, columns) cells."""
-    cells = cells.tolist()
-    return [c[0] for c in cells] if n_columns == 1 else list(map(tuple, cells))
+                        os.path.basename(path) + ".parse")
 
 
 def _cached_parse(path, columns, value):
@@ -458,11 +453,18 @@ def _cached_parse(path, columns, value):
     if sums is None:
         return _parse_long_csv(path, columns, value)
     try:
-        with np.load(_entry(path), allow_pickle=False) as z:
-            if z["tag"].tolist() == _tag(sums, columns, value):
-                return (z["instants"], _keys_from(z["keys"], len(columns)),
-                        z["row_stamp"], z["row_key"], z["row_value"])
-    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile):
+        with open(_entry(path), "rb") as fh:
+            head, payload = json.loads(fh.readline()), fh.read()
+        T, N = sizes = head["sizes"]
+        if (head["tag"] == _tag(sums, columns, value)
+                and all(type(n) is int and n >= 0 for n in sizes)
+                and len(payload) == 8 * (T + 3 * N)):
+            instants, row_stamp, row_key, row_value = np.split(
+                np.frombuffer(payload, "<i8"), [T, T + N, T + 2 * N])
+            keys = head["keys"] if len(columns) == 1 else list(map(tuple, head["keys"]))
+            return (instants.view("<M8[s]"), keys, row_stamp, row_key,
+                    row_value.view("<f8"))
+    except (OSError, ValueError, KeyError, TypeError):
         pass
     parsed = _parse_long_csv(path, columns, value)
     _store(path, seen, sums, columns, value, parsed)
@@ -470,17 +472,14 @@ def _cached_parse(path, columns, value):
 
 
 def _store(path, seen, sums, columns, value, parsed):
-    """Write the ``parsed`` rows of ``path`` as its .npz entry, tagged with
-    its checksums ``sums`` and the reader's ``columns`` and ``value``: a
-    temporary file renamed into place.  zipfile dates each member 1980-01-01
-    rather than now, so equal arrays give equal bytes.  The write is skipped
-    when numpy cannot hold a key, when ``path`` changed since its stat was
-    ``seen``, and on any OSError (a read-only directory, a full disk).  The
-    directory's entries whose CSV is gone are removed with it."""
-    instants, keys, row_stamp, row_key, row_value = parsed
-    cells = np.array(keys, dtype=str).reshape(len(keys), len(columns))
-    if _keys_from(cells, len(columns)) != keys:     # numpy drops trailing NULs
-        return
+    """Write the ``parsed`` rows of ``path`` as its entry, tagged with its
+    checksums ``sums`` and the reader's ``columns`` and ``value``, through a
+    temporary file renamed into place; equal input gives equal bytes.  No
+    write when ``path`` changed since its stat ``seen`` or on an OSError (a
+    read-only directory, a full disk).  Prunes the directory's stale entries."""
+    instants, keys, *rows = parsed
+    head = json.dumps({"tag": _tag(sums, columns, value), "keys": keys,
+                       "sizes": [len(instants), len(rows[0])]}, separators=(",", ":"))
     entry = _entry(path)
     tmp = f"{entry}.{os.getpid()}.tmp"
     try:
@@ -489,27 +488,26 @@ def _store(path, seen, sums, columns, value, parsed):
             return
         os.makedirs(os.path.dirname(entry), exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.savez(fh, tag=np.array(_tag(sums, columns, value)),
-                     instants=instants, keys=cells, row_stamp=row_stamp,
-                     row_key=row_key, row_value=row_value)
+            fh.write(head.encode() + b"\n")
+            for words, dtype in zip((instants, *rows), ("<M8[s]", "<i8", "<i8", "<f8")):
+                fh.write(np.asarray(words, dtype).tobytes())
         os.replace(tmp, entry)
         _prune(os.path.dirname(entry))
     except OSError:
-        try:
+        with suppress(OSError):
             os.remove(tmp)
-        except OSError:
-            pass
 
 
 def _prune(cache_dir):
-    """Remove the entries in ``cache_dir`` whose CSV no longer exists."""
+    """Remove the entries in ``cache_dir`` whose CSV no longer exists, and
+    the .npz entries of the first cache format."""
     home = os.path.dirname(cache_dir)
     for name in os.listdir(cache_dir):
-        if name.endswith(".npz") and not os.path.exists(os.path.join(home, name[:-4])):
-            try:
+        stem, suffix = os.path.splitext(name)
+        if suffix == ".npz" or (suffix == ".parse"
+                                and not os.path.exists(os.path.join(home, stem))):
+            with suppress(OSError):
                 os.remove(os.path.join(cache_dir, name))
-            except OSError:
-                pass
 
 
 def read_long_csv(path, columns, value, what, keys=None, timestamps=None):

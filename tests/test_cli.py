@@ -14,7 +14,7 @@ from hiercast import (Hierarchy, aggregate, build_summing_matrix,
 from hiercast import cli, evaluate, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
-from hiercast.hierarchy import write_hierarchy, write_observations
+from hiercast.hierarchy import _entry, write_hierarchy, write_observations
 
 from conftest import panel_from_bottom
 
@@ -882,6 +882,31 @@ class TestNndCommand:
         assert err["error"] == "DataError" and message in err["message"]
         assert not out_dir.exists()
 
+    def test_parent_with_a_path_separator_writes_nothing(self, tmp_path,
+                                                         capsys):
+        hier = Hierarchy.from_nodes(
+            [("total", None, 0), ("g/00", "total", 1), ("g01", "total", 1)]
+            + [(leaf, "g/00" if leaf < "c" else "g01", 2) for leaf in "abcd"])
+        t = np.arange(120)
+        write_hierarchy(hier, tmp_path / "hierarchy.csv")
+        write_observations(panel_from_bottom(hier, np.column_stack(
+            [10 + k + np.sin(2 * np.pi * t / 7) for k in range(4)])),
+            tmp_path / "observations.csv")
+        out_dir = tmp_path / "nnd"
+        out_dir.mkdir()
+        code = main(["nnd", "--hierarchy", str(tmp_path / "hierarchy.csv"),
+                     "--observations", str(tmp_path / "observations.csv"),
+                     "--split", "100", "--horizon", "7", "--window", "7",
+                     "--epochs", "1", "--hidden", "4", "--n-dense", "1",
+                     "--filters", "2", "--n-conv", "1", "--kernel-size", "2",
+                     "--out-dir", str(out_dir)])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == ("node 'g/00' cannot name a model file: "
+                                  "'g/00.net' is not one path component")
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_training_failure_names_its_parent(self, dataset, tmp_path,
                                                capsys, jobs):
@@ -918,10 +943,10 @@ class TestNndCommand:
             ], env=env, check=True, capture_output=True)
             outputs[jobs] = {str(p.relative_to(out_dir)): p.read_bytes()
                              for p in sorted(out_dir.rglob("*")) if p.is_file()}
-        assert sorted(outputs["1"]) == [
-            ".hiercast-cache/forecasts.csv.npz", "diagnostics.json",
-            "forecasts.csv", "models/g00.net", "models/g01.net",
-            "models/total.net"]
+        entry = os.path.relpath(_entry(out_dir / "forecasts.csv"), out_dir)
+        assert sorted(outputs["1"]) == sorted([
+            entry, "diagnostics.json", "forecasts.csv", "models/g00.net",
+            "models/g01.net", "models/total.net"])
         assert outputs["2"] == outputs["1"]
 
     def test_blas_threads_do_not_change_output_bytes(self, tmp_path):
@@ -951,6 +976,18 @@ class TestNndCommand:
                 hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 for name in ("forecasts.csv", "diagnostics.json")]
         assert digests["2"] == digests["1"]
+
+
+@pytest.mark.parametrize("split", ["banana", "3.5"])
+def test_split_that_does_not_parse_is_config_error(dataset, tmp_path, capsys,
+                                                   split):
+    out = tmp_path / "base.csv"
+    assert run_forecast(dataset, out, split=split) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"]) == ("ConfigError", 2)
+    assert err["message"] == (
+        f"bad value for 'split': unparseable timestamp {split!r}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["forecast", "nnd"])
@@ -1224,6 +1261,33 @@ class TestConfigPrecedence:
 
     def test_missing_config_file(self, capsys):
         assert main(["synth", "--config", "/nope/run.ini"]) == 2
+
+    def test_config_that_is_a_directory_is_config_error(self, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "dir.ini"
+        cfg.mkdir()
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o1"), "--t", "30"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ConfigError", f"config file is a directory: {cfg}")
+        assert not (tmp_path / "o1").exists()
+
+    def test_config_that_cannot_be_opened_is_config_error(self, tmp_path,
+                                                          capsys, monkeypatch):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[synth]\nseed = 5\n")
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+        assert main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "o1"), "--t", "30"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ConfigError", f"cannot read config file {cfg}: Permission denied")
+        assert not (tmp_path / "o1").exists()
 
     def test_key_no_option_reads_is_config_error(self, dataset, tmp_path,
                                                  capsys):

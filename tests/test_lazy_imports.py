@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from hiercast.forecastset import ForecastSet
-from hiercast.hierarchy import load_hierarchy, load_panel
+from hiercast.hierarchy import _entry, load_hierarchy, load_panel
 from hiercast.synthetic import GeneratorSpec, write_dataset
 
 SRC = str(Path(__file__).parents[1] / "src")
@@ -81,7 +81,7 @@ def test_reconcile_and_evaluate_load_no_model_code(panel_dir):
     """, str(panel_dir))
     assert "hiercast.reconcile" in loaded and "hiercast.evaluate" in loaded
     assert [m for m in HEAVY if m in loaded] == []
-    assert (panel_dir / "rec" / ".hiercast-cache" / "mint.csv.npz").is_file()
+    assert os.path.isfile(_entry(panel_dir / "rec" / "mint.csv"))
 
 
 def test_forecast_loads_no_nnd_code(panel_dir, tmp_path):

@@ -3,9 +3,12 @@ the row parse and gives the same results and errors; anything amiss with an
 entry falls back to parsing the file.  The long-format writers store the
 entry the first read would store."""
 
+import json
 import os
 import threading
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ def read(path, keys=None):
 
 
 def entry(path):
-    return path.parent / CACHE_DIR / (path.name + ".npz")
+    return Path(hierarchy._entry(path))
 
 
 def no_parse(*args):
@@ -99,42 +102,67 @@ def test_a_file_that_fails_to_parse_leaves_no_entry(tmp_path):
     assert not (tmp_path / CACHE_DIR).exists()
 
 
-def test_object_entries_are_not_loaded(obs, monkeypatch):
-    """An entry that would need unpickling is ignored, as a tag mismatch."""
+def test_an_entry_is_a_json_line_then_little_endian_words(obs):
     read(obs)
-    calls = []
-    real = hierarchy._parse_long_csv
-    monkeypatch.setattr(hierarchy, "_parse_long_csv",
-                        lambda *a: calls.append(a) or real(*a))
-    with np.load(entry(obs)) as z:
-        arrays = {k: z[k] for k in z.files}
-    arrays["keys"] = arrays["keys"].astype(object)     # equal keys, pickled
-    np.savez(entry(obs), **arrays)
-    assert read(obs)[1] == ["total", "a", "b"] and len(calls) == 1
+    line, payload = entry(obs).read_bytes().split(b"\n", 1)
+    data = obs.read_bytes()
+    assert json.loads(line) == {
+        "tag": [2, len(data), zlib.crc32(data), zlib.adler32(data),
+                "node_id", "value"],
+        "keys": ["total", "a", "b"], "sizes": [2, 8]}
+    words = np.frombuffer(payload, "<i8")
+    assert words[:2].view("<M8[s]").tolist() == np.array(
+        ["2020-01-02", "2020-01-01"], "M8[s]").tolist()
+    assert words[2:10].tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+    assert words[10:18].tolist() == [0, 1, 2, 0, 1, 2, 1, 2]
+    assert words[18:].view("<f8").tolist() == [9, 4, 5, 3, 1.5, 1.5, 1, 2]
 
 
-@pytest.mark.parametrize("damage", ["garbage", "truncated", "empty", "npy"])
+def with_head(good, edit):
+    """``good`` with its JSON line replaced by ``edit`` of its header."""
+    line, payload = good.split(b"\n", 1)
+    return json.dumps(edit(json.loads(line))).encode() + b"\n" + payload
+
+
+def negative_sizes(head):
+    """Sizes whose words add up to the payload's, the first below zero."""
+    T, N = head["sizes"]
+    return dict(head, sizes=[T - 3, N + 1])
+
+
+DAMAGE = {
+    "garbage": lambda good: b"not an entry" * 40,
+    "truncated": lambda good: good[:len(good) // 2],
+    "empty": lambda good: b"",
+    "not-json": lambda good: b"not json\n" + good.split(b"\n", 1)[1],
+    "json-list": lambda good: with_head(good, lambda h: list(h.values())),
+    "negative-sizes": lambda good: with_head(good, negative_sizes),
+    "float-sizes": lambda good: with_head(
+        good, lambda h: dict(h, sizes=[float(n) for n in h["sizes"]])),
+    "payload-short": lambda good: good[:-8],
+    "payload-long": lambda good: good + bytes(8),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
 def test_a_damaged_entry_is_ignored_and_rewritten(obs, damage):
     expected = read(obs)[2].tolist()
     good = entry(obs).read_bytes()
-    entry(obs).write_bytes({
-        "garbage": b"not a zip archive" * 40,
-        "truncated": good[:len(good) // 2],
-        "empty": b"",
-        "npy": good[good.index(b"\x93NUMPY"):],
-    }[damage])
+    entry(obs).write_bytes(DAMAGE[damage](good))
     assert read(obs)[2].tolist() == expected
     assert entry(obs).read_bytes() == good
 
 
-def test_a_key_numpy_cannot_hold_is_not_stored(tmp_path):
-    """numpy drops a string's trailing NULs, so such a file is parsed on
-    every read."""
+def test_a_key_ending_in_nul_is_stored_and_hits(tmp_path, monkeypatch):
+    """JSON keeps every str, a trailing NUL included."""
     path = tmp_path / "obs.csv"
     path.write_text("timestamp,node_id,value\n2020-01-01,a\0,1\n2020-01-01,b,2\n")
-    for _ in range(2):
-        assert read(path)[1] == ["a\0", "b"]
-    assert not entry(path).exists()
+    cold = read(path)
+    assert entry(path).is_file()
+    monkeypatch.setattr(hierarchy, "_parse_long_csv", no_parse)
+    warm = read(path)
+    assert warm[1] == cold[1] == ["a\0", "b"]
+    assert warm[2].tolist() == cold[2].tolist() == [[1, 2]]
 
 
 def test_a_file_changed_during_the_parse_is_not_stored(obs, monkeypatch):
@@ -195,7 +223,21 @@ def test_prune_removes_entries_whose_csv_is_gone(tmp_path):
     read(a)
     a.unlink()
     ForecastSet("bu", ("x",), ["2020-01-01"], [[1.0]]).write_csv(b)
-    assert sorted(p.name for p in (tmp_path / CACHE_DIR).iterdir()) == ["b.csv.npz"]
+    assert sorted(p.name for p in (tmp_path / CACHE_DIR).iterdir()) == [
+        entry(b).name]
+
+
+def test_prune_removes_entries_of_the_first_format(tmp_path):
+    """An .npz entry is never read, whether or not its CSV is there."""
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(OBS)
+    (tmp_path / CACHE_DIR).mkdir()
+    for name in ("a.csv.npz", "gone.csv.npz"):
+        (tmp_path / CACHE_DIR / name).write_bytes(b"PK\x03\x04")
+    read(a)
+    ForecastSet("bu", ("x",), ["2020-01-01"], [[1.0]]).write_csv(b)
+    assert sorted(p.name for p in (tmp_path / CACHE_DIR).iterdir()) == [
+        entry(a).name, entry(b).name]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +275,8 @@ VALUES = [[3.0, 1.25, 1.75], [0.1, -0.0, 0.1], [7e-300, 1e300, 2.5]]
     (("Zürich", "Bern", "Genève"), DAYS),
     (("total", "a", "b"), ["2020-01-01T06:00:00", "2020-01-01T18:30:15",
                            "2020-01-02T00:00:00"]),
-], ids=["plain", "comma-quote", "non-ascii", "non-midnight"])
+    (("total", "a\0", "b\0"), DAYS),
+], ids=["plain", "comma-quote", "non-ascii", "non-midnight", "trailing-nul"])
 def test_a_written_entry_is_the_entry_a_cold_read_stores(
         tmp_path, monkeypatch, write, ids, stamps):
     path = tmp_path / "out.csv"
@@ -258,8 +301,7 @@ def test_a_written_entry_is_the_entry_a_cold_read_stores(
     (("a", "a"), DAYS[:2], [[1.0, 2.0], [3.0, 4.0]], [[2.0], [4.0]]),
     (("a", "b"), DAYS[:2], [[1.0, np.nan], [3.0, 4.0]], [[1.0, np.nan], [3.0, 4.0]]),
     (("a", "b"), [DAYS[0], DAYS[0]], [[1.0, 2.0], [3.0, 4.0]], [[3.0, 4.0]]),
-    (("a\0", "b"), DAYS[:1], [[1.0, 2.0]], [[1.0, 2.0]]),
-], ids=["duplicate-id", "nan", "duplicate-stamp", "trailing-nul"])
+], ids=["duplicate-id", "nan", "duplicate-stamp"])
 def test_a_parse_that_could_differ_is_not_stored(tmp_path, ids, stamps, values,
                                                  read_back):
     path = tmp_path / "fc.csv"
