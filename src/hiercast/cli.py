@@ -337,18 +337,19 @@ def _nnd_config(cfg):
 
 def cmd_nnd(cfg):
     from .neuralnet import save_network
-    from .nnd import run
+    from .nnd import network_pairs, run
 
     ncfg = _nnd_config(cfg)
     hier, panel = _load_inputs(cfg)
     n_train = _split_index(cfg, panel)
     h, strategy, out_dir = cfg["horizon"], cfg["strategy"], cfg["out_dir"]
+    # every model file name is checked before any network is trained
+    names = {p: _node_file_name("{}.net", p, "a model file")
+             for p, _ in network_pairs(strategy, hier, cfg["middle_level"])}
     result = run(strategy, panel, n_train, h, ncfg, cfg["middle_level"],
                  cfg["m_season"])
 
     models_dir = os.path.join(out_dir, "models")
-    # every model file name is checked before any file is written
-    names = {p: _node_file_name("{}.net", p, "a model file") for p in result.models}
     os.makedirs(models_dir, exist_ok=True)
     ForecastSet(
         method=strategy, node_ids=tuple(hier.node_ids),

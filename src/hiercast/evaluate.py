@@ -22,6 +22,8 @@ SMAPE_ZERO = "SMAPE undefined: |actual|+|forecast| is zero at some step"
 def seasonal_scale(insample, m_season=1):
     """The MASE denominator, the in-sample seasonal-naive MAE: of a series,
     or of each row of an (M, T) array (one series per row) at once."""
+    if m_season < 1:
+        raise ConfigError(f"seasonal period must be >= 1, got {m_season}")
     insample = np.asarray(insample, dtype=float)
     T = insample.shape[-1]
     if T <= m_season:

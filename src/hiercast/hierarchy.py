@@ -561,8 +561,16 @@ def read_long_csv(path, columns, value, what, keys=None, timestamps=None):
 
 
 def load_error_matrix(path, hierarchy):
-    """The (timestamps, M) matrix of a long-format errors CSV."""
-    return read_long_csv(path, ("node_id",), "error", "error", hierarchy.node_ids)[2]
+    """The (timestamps, M) matrix of a long-format errors CSV; a DataError
+    names the first cell that is not finite."""
+    timestamps, _, errors = read_long_csv(path, ("node_id",), "error", "error",
+                                          hierarchy.node_ids)
+    bad = ~np.isfinite(errors)
+    if bad.any():
+        t, j = divmod(int(np.argmax(bad)), hierarchy.M)
+        raise DataError(f"{path}: non-finite error for {hierarchy.node_ids[j]} "
+                        f"at {timestamps[t]}")
+    return errors
 
 
 def load_panel(hierarchy, obs_path, exog_path=None,

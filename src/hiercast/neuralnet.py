@@ -74,8 +74,11 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if min(self.learning_rate, self.batch_size, self.max_epochs) <= 0:
-            raise ConfigError("learning_rate, batch_size, max_epochs must be positive")
+        if not 0.0 < self.learning_rate < math.inf:     # NaN fails too
+            raise ConfigError(f"lr (learning_rate) must be finite and > 0, "
+                              f"got {self.learning_rate}")
+        if min(self.batch_size, self.max_epochs) <= 0:
+            raise ConfigError("batch_size, max_epochs must be positive")
         if self.patience < 0 or not 0.0 <= self.validation_fraction < 1.0:
             raise ConfigError("bad patience or validation_fraction")
 

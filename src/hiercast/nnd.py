@@ -240,6 +240,22 @@ STRATEGIES = {"nnd1": (), "nnd2": (), "mo": ("middle_level",),
               "middle-out": ("middle_level",)}
 
 
+def network_pairs(strategy, hier, middle_level=1):
+    """The (parent, children) pair of each network ``strategy`` trains on
+    ``hier``, in cascade order; the first pairs' parents start it."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown NND strategy {strategy!r} "
+                          f"(choose from {', '.join(STRATEGIES)})")
+    if strategy == "nnd1":
+        return [(hier.root_id, tuple(hier.bottom_ids))]
+    level = 0
+    if "middle_level" in STRATEGIES[strategy]:
+        level = middle_level
+        if not 0 <= level <= hier.K - 2:
+            raise DataError(f"middle level {level} must lie in [0, {hier.K - 2}]")
+    return _pairs_below(hier, level)
+
+
 def run(strategy, panel: SeriesPanel, n_train, h, cfg: NndConfig,
         middle_level=1, m_season=7, root_forecast=None) -> NndResult:
     """Forecast the hierarchy by ``strategy``, a key of ``STRATEGIES``.
@@ -251,17 +267,9 @@ def run(strategy, panel: SeriesPanel, n_train, h, cfg: NndConfig,
     when the cascade starts there (selected when None).  Bottom forecasts
     are re-aggregated upward, so coherence is exact.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown NND strategy {strategy!r} "
-                          f"(choose from {', '.join(STRATEGIES)})")
     hier = panel.hierarchy
-    level = 0
-    if "middle_level" in STRATEGIES[strategy]:
-        level = middle_level
-        if not 0 <= level <= hier.K - 2:
-            raise DataError(f"middle level {level} must lie in [0, {hier.K - 2}]")
-    starts = {n: root_forecast if n == hier.root_id else None
-              for n in hier.level_ids(level)}
-    pairs = ([(hier.root_id, tuple(hier.bottom_ids))] if strategy == "nnd1"
-             else _pairs_below(hier, level))
+    pairs = network_pairs(strategy, hier, middle_level)
+    parents = {node_id for node_id, _ in pairs}
+    starts = {n: root_forecast if n == hier.root_id else None for n, _ in pairs
+              if hier.parent_ids[hier.index(n)] not in parents}
     return _cascade(panel, n_train, h, cfg, starts, pairs, m_season)

@@ -205,24 +205,21 @@ def shrinkage_covariance(errors, lam=None) -> ErrorCovariance:
 
 
 def mint_reconcile(S: SummingMatrix, base_forecasts, cov: ErrorCovariance) -> np.ndarray:
-    """Project base forecasts onto the coherent subspace:
-    y~ = S (S'W^-1 S)^-1 S'W^-1 y^, applied per forecast step."""
+    """Project base forecasts onto the coherent subspace per forecast step,
+    in the constraint form of Wickramasuriya et al. (2019): y~ = y^ -
+    W C' (C W C')^-1 C y^, one unknown per aggregate.  C y = 0 says each
+    aggregate (first in canonical order) is the sum of its bottom series."""
     base = np.atleast_2d(np.asarray(base_forecasts, dtype=float))
     if base.shape[1] != S.M:
         raise DataError(
             f"base forecasts have {base.shape[1]} columns, expected {S.M}"
         )
-    W = cov.W
-    if W.shape[0] != S.M:
+    if cov.W.shape[0] != S.M:
         raise DataError("covariance dimension does not match hierarchy size")
-    WinvS = np.linalg.solve(W, S.entries)
-    A = S.entries.T @ WinvS
-    rhs = base @ WinvS                       # (H, m_bottom)
-    try:
-        np.linalg.cholesky((A + A.T) / 2.0)
-    except np.linalg.LinAlgError:
-        raise NumericError("S'W^-1S is not positive definite") from None
-    bottom = np.linalg.solve(A, rhs.T).T
+    n = S.M - S.m_bottom
+    C = np.hstack([np.eye(n), -S.entries[:n]])
+    WC = cov.W @ C.T
+    bottom = base[:, n:] - (WC[n:] @ np.linalg.solve(C @ WC, C @ base.T)).T
     return aggregate(S, bottom)
 
 

@@ -7,6 +7,7 @@ PCG64 generator seeded from the spec, so output is bit-identical per seed.
 """
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,8 +40,12 @@ class GeneratorSpec:
             raise ConfigError("children_per_level must be positive")
         if self.m_season < 1:
             raise ConfigError(f"m_season must be >= 1, got {self.m_season}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("base_level", "seasonal_amplitude", "trend", "promo_lift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 <= self.noise_sigma < math.inf:      # NaN fails too
+            raise ConfigError(f"noise_sigma must be finite and >= 0, "
+                              f"got {self.noise_sigma}")
         if not 0 <= self.promo_prob <= 1:
             raise ConfigError(f"promo_prob must lie in [0, 1], got {self.promo_prob}")
         try:
@@ -53,7 +58,7 @@ class GeneratorSpec:
             raise ConfigError("T too small for the seasonal period")
         if self.fixed_shares is not None:
             fs = np.asarray(self.fixed_shares, dtype=float)
-            if np.any(fs < 0) or abs(fs.sum() - 1.0) > 1e-9:
+            if not (np.all(fs >= 0) and abs(fs.sum() - 1.0) <= 1e-9):
                 raise ConfigError("fixed_shares must lie on the simplex")
 
 

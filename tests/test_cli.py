@@ -11,10 +11,11 @@ import pytest
 
 from hiercast import (Hierarchy, aggregate, build_summing_matrix,
                       load_hierarchy, load_panel)
-from hiercast import cli, evaluate, nnd, reconcile
+from hiercast import cli, evaluate, forecasters, neuralnet, nnd, reconcile
 from hiercast.cli import build_parser, main
 from hiercast.forecastset import ForecastSet, read_forecast_set
-from hiercast.hierarchy import _entry, write_hierarchy, write_observations
+from hiercast.hierarchy import (_entry, _write_long, write_hierarchy,
+                                write_observations)
 
 from conftest import panel_from_bottom
 
@@ -45,6 +46,17 @@ def swiss(tmp_path):
                        tmp_path / "observations.csv")
     return ["--hierarchy", tmp_path / "hierarchy.csv",
             "--observations", tmp_path / "observations.csv"]
+
+
+def run_with_blas_threads(threads, *argv):
+    """``hiercast.cli`` in a child process, the only one whose OpenBLAS
+    thread count is set."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "hiercast.cli", *map(str, argv)],
+                   env=env, check=True, capture_output=True)
 
 
 def run_under_c_locale(*argv):
@@ -93,6 +105,14 @@ class TestSynth:
     @pytest.mark.parametrize("extra,key", [
         (["--noise-sigma", "-1"], "noise_sigma"),
         (["--promo-prob", "2", "--regime", "switching"], "promo_prob"),
+        (["--noise-sigma", "nan"], "noise_sigma"),
+        (["--noise-sigma", "inf"], "noise_sigma"),
+        (["--trend", "nan"], "trend"),
+        (["--seasonal-amplitude", "inf"], "seasonal_amplitude"),
+        (["--base-level", "nan"], "base_level"),
+        (["--promo-lift", "nan", "--regime", "switching"], "promo_lift"),
+        (["--fixed-shares", "nan,nan", "--children-per-level", "2"],
+         "fixed_shares"),
     ])
     def test_out_of_range_setting_writes_nothing(self, tmp_path, capsys,
                                                  extra, key):
@@ -409,6 +429,25 @@ class TestReconcile:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NumericError" and err["exit_code"] == 4
         assert "FP proportions undefined" in err["message"]
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_error_names_file_node_and_stamp(self, dataset, tmp_path,
+                                                        capsys, token):
+        hier = load_hierarchy(dataset / "hierarchy.csv")
+        errors = np.ones((3, hier.M))
+        errors[1, 2] = float(token)
+        bad = tmp_path / "errors.csv"
+        _write_long(bad, ("node_id",), "error",
+                    np.array(["2015-01-05", "2015-01-06", "2015-01-07"],
+                             dtype="datetime64[s]"), hier.node_ids, errors)
+        code = self._reconcile_zero_base(dataset, tmp_path, "mint",
+                                         "--errors", str(bad))
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DataError"
+        assert err["message"] == (f"{bad}: non-finite error for "
+                                  f"{hier.node_ids[2]} at 2015-01-06T00:00:00")
+        assert not (tmp_path / "rec").exists()
 
     def test_linalg_error_exits_4(self, dataset, tmp_path, capsys,
                                   monkeypatch):
@@ -781,6 +820,17 @@ class TestEvaluateAlignment:
         assert err == {"error": "DataError", "exit_code": 3,
                        "message": "no forecast for node 'a'"}
 
+    @pytest.mark.parametrize("m_season", ["0", "-3"])
+    def test_seasonal_period_below_one_is_config_error(self, data, capsys,
+                                                       m_season):
+        code = self._evaluate(data, 33, "--forecasts", str(data / "bu.csv"),
+                              "--m-season", m_season)
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"seasonal period must be >= 1, got {m_season}"
+        assert not (data / "eval").exists()
+
     def test_every_series_flagged_rank_tests_exit_2(self, data, capsys):
         other = self._subset(data, "other", ["total", "a", "b"])
         forecasts = ["--forecasts", f"{data / 'bu.csv'},{other}",
@@ -833,6 +883,24 @@ class TestNndCommand:
         assert err["error"] == "ConfigError" and "jobs" in err["message"]
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_learning_rate_that_is_not_finite_writes_nothing(
+            self, dataset, tmp_path, capsys, lr):
+        out_dir = tmp_path / "nnd"
+        code = main([
+            "nnd",
+            "--hierarchy", str(dataset / "hierarchy.csv"),
+            "--observations", str(dataset / "observations.csv"),
+            "--split", "100", "--window", "7", "--epochs", "1",
+            "--lr", lr, "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"] == (
+            f"lr (learning_rate) must be finite and > 0, got {lr}")
+        assert not out_dir.exists()
+
     def _assert_unknown_strategy(self, code, capsys, out_dir):
         assert code == 2
         err = json.loads(capsys.readouterr().err)
@@ -883,7 +951,13 @@ class TestNndCommand:
         assert not out_dir.exists()
 
     def test_parent_with_a_path_separator_writes_nothing(self, tmp_path,
-                                                         capsys):
+                                                         capsys, monkeypatch):
+        def untouched(*args, **kwargs):
+            raise AssertionError("model selected or trained before the "
+                                 "model file names were checked")
+
+        monkeypatch.setattr(neuralnet, "train_many", untouched)
+        monkeypatch.setattr(forecasters, "select_models", untouched)
         hier = Hierarchy.from_nodes(
             [("total", None, 0), ("g/00", "total", 1), ("g01", "total", 1)]
             + [(leaf, "g/00" if leaf < "c" else "g01", 2) for leaf in "abcd"])
@@ -952,30 +1026,66 @@ class TestNndCommand:
     def test_blas_threads_do_not_change_output_bytes(self, tmp_path):
         """The thread count is set for the child processes only; at this
         size OpenBLAS splits the dense products across two threads."""
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-        def hiercast(*argv, threads="1"):
-            subprocess.run([sys.executable, "-m", "hiercast.cli", *argv],
-                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                           check=True, capture_output=True)
-
         data = tmp_path / "data"
-        hiercast("synth", "--out", str(data), "--children-per-level", "3,4",
-                 "--t", "400", "--seed", "5")
+        run_with_blas_threads("1", "synth", "--out", data,
+                              "--children-per-level", "3,4", "--t", "400",
+                              "--seed", "5")
         digests = {}
         for threads in ("1", "2"):
             out_dir = tmp_path / f"threads{threads}"
-            hiercast("nnd", "--strategy", "nnd2",
-                     "--hierarchy", str(data / "hierarchy.csv"),
-                     "--observations", str(data / "observations.csv"),
-                     "--split", "372", "--horizon", "28", "--epochs", "4",
-                     "--seed", "5", "--out-dir", str(out_dir), threads=threads)
+            run_with_blas_threads(
+                threads, "nnd", "--strategy", "nnd2",
+                "--hierarchy", data / "hierarchy.csv",
+                "--observations", data / "observations.csv",
+                "--split", "372", "--horizon", "28", "--epochs", "4",
+                "--seed", "5", "--out-dir", out_dir)
             digests[threads] = [
                 hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                 for name in ("forecasts.csv", "diagnostics.json")]
         assert digests["2"] == digests["1"]
+
+
+def test_blas_threads_do_not_change_mint_bytes(tmp_path):
+    """Pins the behaviour measured on wide-reconcile's inputs: 259 series,
+    43 aggregates, 60 error rows, every leaf at the generator's default
+    level.  The covariance product differs across thread counts, but
+    MinT's correction is a few percent of each forecast, so that noise
+    stays below half an ulp of the output.  Measured limits: about 100
+    aggregates (99 gave the same bytes, 101 did not) and about 400 series
+    (367 did, 403 did not); leaves near zero, where the correction is not
+    small, give other bytes at this size too."""
+    data = tmp_path / "data"
+    # as in hcbench's wide-reconcile: the top level scales with the 216
+    # leaves
+    run_with_blas_threads("1", "synth", "--out", data,
+                          "--children-per-level", "6,6,6", "--t", "300",
+                          "--base-level", "4320",
+                          "--seasonal-amplitude", "1080")
+    hier = load_hierarchy(data / "hierarchy.csv")
+    panel = load_panel(hier, data / "observations.csv")
+    # base forecasts: truth x (1 + 5% noise); errors: 5% noise on the rows
+    # before the split
+    split, h, n_err = 272, 28, 60
+    rng = np.random.default_rng(1)
+    truth = panel.values[split:split + h]
+    ForecastSet("base", hier.node_ids, panel.timestamps[split:split + h],
+                truth * (1.0 + 0.05 * rng.standard_normal(truth.shape))
+                ).write_csv(tmp_path / "base.csv")
+    past = panel.values[split - n_err:split]
+    _write_long(tmp_path / "errors.csv", ("node_id",), "error",
+                panel.timestamps[split - n_err:split], hier.node_ids,
+                past * 0.05 * rng.standard_normal(past.shape))
+    digests = {}
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        run_with_blas_threads(
+            threads, "reconcile", "--hierarchy", data / "hierarchy.csv",
+            "--observations", data / "observations.csv", "--split", split,
+            "--base", tmp_path / "base.csv", "--errors", tmp_path / "errors.csv",
+            "--methods", "mint", "--out-dir", out_dir)
+        digests[threads] = hashlib.sha256(
+            (out_dir / "mint.csv").read_bytes()).hexdigest()
+    assert digests["2"] == digests["1"]
 
 
 @pytest.mark.parametrize("split", ["banana", "3.5"])

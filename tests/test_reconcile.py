@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -441,3 +443,69 @@ class TestProperties:
                   proportions_fp(base, h)):
             assert np.all(p >= 0)
             assert np.abs(np.atleast_2d(p).sum(axis=1) - 1.0).max() <= 1e-9
+
+
+def mint_s_form(S, base, W, solve=np.linalg.solve):
+    """MinT in its original form, y~ = S (S'W^-1 S)^-1 S'W^-1 y^, for the
+    (M, m_bottom) summing matrix S: the oracle for ``mint_reconcile``'s
+    constraint form."""
+    WinvS = solve(W, S)
+    return solve(S.T @ WinvS, (base @ WinvS).T).T @ S.T
+
+
+def exact_solve(A, B):
+    """X with A X = B for object arrays of Fractions, by Gauss-Jordan
+    elimination: no rounding, however ill-conditioned A is."""
+    n = len(A)
+    X = np.concatenate([A, B], axis=1)
+    for c in range(n):
+        p = c + np.flatnonzero(X[c:, c] != 0)[0]
+        X[[c, p]] = X[[p, c]]
+        X[c] = X[c] / X[c, c]
+        for r in range(n):
+            if r != c:
+                X[r] = X[r] - X[r, c] * X[c]
+    return X[:, n:]
+
+
+as_fractions = np.vectorize(Fraction, otypes=[object])
+
+
+def assert_pinned(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestMintConstraintForm:
+    """``mint_reconcile`` against MinT's original form, to relative 1e-12."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(instances())
+    def test_random_trees(self, inst):
+        h, S, _, base, errors, _ = inst
+        for cov in (ErrorCovariance(np.eye(h.M), 1.0),
+                    shrinkage_covariance(errors)):
+            assert_pinned(mint_reconcile(S, base, cov),
+                          mint_s_form(S.entries, base, cov.W))
+
+    def test_one_node_tree_returns_its_input(self, rng):
+        S = build_summing_matrix(Hierarchy.from_nodes([("total", None, 0)]))
+        base = rng.standard_normal((4, 1))
+        cov = shrinkage_covariance(rng.standard_normal((10, 1)))
+        assert np.array_equal(mint_reconcile(S, base, cov), base)
+        assert_pinned(base, mint_s_form(S.entries, base, cov.W))
+
+    def test_jittered_covariance_against_the_exact_s_form(self, rng):
+        # 8 error rows for 13 series: the sample covariance has rank 7, so W
+        # is jittered and its condition number is about 4e8.  The S-form's
+        # float solve with W is then off by about 1e-8, so the oracle runs
+        # in exact arithmetic.  Rank 7 is above the 4 aggregates, so C W C'
+        # stays well conditioned.
+        S = build_summing_matrix(make_hierarchy((3, 3)))
+        E = rng.standard_normal((8, S.M))
+        cov = shrinkage_covariance(E, lam=0.0)
+        jitter = np.diag(cov.W - np.cov(E, rowvar=False))
+        assert jitter.min() > 1e-9 * np.diag(cov.W).mean()
+        base = rng.standard_normal((3, S.M))
+        want = mint_s_form(as_fractions(S.entries), as_fractions(base),
+                           as_fractions(cov.W), exact_solve).astype(float)
+        assert_pinned(mint_reconcile(S, base, cov), want)
